@@ -21,6 +21,10 @@ through files in it:
 ``changes.log``
     Append-only audit trail.  One ``version index new_value delta proposer``
     line per committed update, plus ``#tally`` progress lines from workers.
+    Tallies are written per sync, not per evaluation: a worker syncs (writes
+    its tally if it changed, then reads the others') at its first loop top,
+    after a commit and at most once per ``optimizer.TALLY_SYNC_INTERVAL`` of
+    the job's clock, and writes its tally once more when its loop exits.
     Advisory: nothing reads it to decide correctness.
 
 Ordinary file shares offer no compare-and-swap, so updates go through the
@@ -32,6 +36,7 @@ lock file is the only mutual exclusion there is.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import logging
@@ -386,7 +391,15 @@ def serialize_best(state: BestState) -> str:
     return body + f"checksum={_checksum(body)}\n"
 
 
+@functools.lru_cache(maxsize=16)
 def parse_best(text: str) -> BestState:
+    """Parse and verify one best.dat text.
+
+    Memoised on the exact text: workers re-read an unchanged record at every
+    proposal, and a byte-identical text needs no second check.  Any other
+    text, torn or corrupted ones included, is checked in full; a rejected
+    text raises every time, since failures are not cached.
+    """
     lines = text.splitlines(keepends=True)
     fields: dict[str, str] = {}
     body_end = None
@@ -535,6 +548,14 @@ def release_lock(job: JobDirectory, handle: LockHandle) -> None:
 # Committing updates
 
 
+def _commit_line(version: int, change: ChangeProposal) -> str:
+    """The changes.log line for one commit, as :func:`read_commit_log` parses it."""
+    return (
+        f"{version} {change.index} {change.new_value} "
+        f"{change.delta:.17g} {change.proposer}"
+    )
+
+
 def commit_update(
     job: JobDirectory,
     expected_version: int,
@@ -564,11 +585,7 @@ def commit_update(
             return VersionConflict(current=current)
         job.backend.write_atomic(BEST_FILE, serialize_best(new_state))
         if change is not None:
-            job.backend.append_line(
-                CHANGES_FILE,
-                f"{new_state.version} {change.index} {change.new_value} "
-                f"{change.delta:.17g} {change.proposer}",
-            )
+            job.backend.append_line(CHANGES_FILE, _commit_line(new_state.version, change))
         return Committed(state=new_state)
     finally:
         release_lock(job, handle)
@@ -592,11 +609,7 @@ def overwrite_update(
         new_state = make_state(current)
         job.backend.write_atomic(BEST_FILE, serialize_best(new_state))
         if change is not None:
-            job.backend.append_line(
-                CHANGES_FILE,
-                f"{new_state.version} {change.index} {change.new_value} "
-                f"{change.delta:.17g} {change.proposer}",
-            )
+            job.backend.append_line(CHANGES_FILE, _commit_line(new_state.version, change))
         return new_state
     finally:
         release_lock(job, handle)
@@ -608,8 +621,10 @@ def overwrite_update(
 
 @dataclass(frozen=True)
 class WorkerTally:
-    """One worker's cumulative progress counters, flushed after every
-    completed evaluation.  Advisory: stop conditions tolerate slack."""
+    """One worker's cumulative progress counters.  The work loop keeps them
+    in memory and writes them to changes.log per sync (see the module
+    docstring), not per evaluation.  Advisory: stop conditions tolerate
+    slack."""
 
     evaluations: int = 0
     commits: int = 0
@@ -671,8 +686,9 @@ class TallyReader:
             if parsed is not None:
                 self.per_worker[parsed[0]] = parsed[1]
 
-    def fleet_evaluations(self) -> int:
-        return sum(t.evaluations for t in self.per_worker.values())
+    def evaluations_excluding(self, worker_id: str) -> int:
+        """The other workers' evaluations, as of the last refresh."""
+        return sum(t.evaluations for w, t in self.per_worker.items() if w != worker_id)
 
 
 def read_fleet_tally(job: JobDirectory) -> dict[str, WorkerTally]:

@@ -23,6 +23,7 @@ modes: replaying it over a different base value is meaningless.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -53,6 +54,9 @@ log = logging.getLogger(__name__)
 MERGE_MAX_RETRIES = 8
 IO_RETRY_DEADLINE = 5.0
 IO_RETRY_BACKOFF = 0.2
+# Seconds of the job's clock between a worker's tally syncs (write its own
+# tally, read the fleet's).  Evaluations longer than this sync once each.
+TALLY_SYNC_INTERVAL = 1.0
 
 
 class OptimizerMode(Enum):
@@ -89,8 +93,14 @@ class MergeOutcome:
 class StopCondition:
     """Any-of end conditions; all None means manual stop only.
 
-    ``max_total_evaluations`` counts completed evaluations fleet-wide via the
-    advisory tally lines, so it fires with a little slack, never exactly.
+    ``max_total_evaluations`` counts completed evaluations fleet-wide: each
+    worker adds its own live count to the other workers' tally lines as it
+    last read them.  Between commits a worker syncs its tally only at the
+    first loop top after ``TALLY_SYNC_INTERVAL`` has passed, so the fleet
+    may overshoot the budget by up to its evaluation rate times
+    (``TALLY_SYNC_INTERVAL`` + one evaluation), plus one in-flight
+    evaluation per worker, plus the unflushed count of any worker that was
+    killed.  A lone worker stops at exactly the budget.
     ``stagnation_proposals`` triggers an exhaustive neighbor sweep after that
     many proposals without any fleet commit; the job stops only if the sweep
     proves no single-element change improves the current best.
@@ -228,23 +238,33 @@ def evaluate_and_merge(
 
     Raises :class:`EvaluationAborted` when a checkpoint (signal gone, or the
     caller's cancel check) interrupts the evaluation; nothing is written.
+    The signal is read only where it can change the outcome: at real
+    mid-evaluation checkpoints, and once before a merge.  A not-better
+    result writes nothing, so after the evaluation only ``cancel`` can void
+    it.
     """
     index, new_value = change
     candidate = base.config[:index] + (new_value,) + base.config[index + 1 :]
 
+    def cancelled() -> bool:
+        return cancel is not None and cancel()
+
     def checkpoint(fraction: float) -> bool:
-        if cancel is not None and cancel():
+        if cancelled():
             return False
+        if fraction <= 0.0 or fraction >= 1.0:
+            return True  # no work to save yet, or the pre-merge check follows
         return check_stop_during_evaluation(job, fraction)
 
     measured = objective.evaluate(candidate, checkpoint)
-    # The evaluation may be long; re-check before touching the shared state
-    # so a kill between evaluate and merge discards the result.
-    if not checkpoint(1.0):
-        raise EvaluationAborted("stop requested after evaluation")
-
+    if cancelled():
+        raise EvaluationAborted("cancelled after evaluation")
     if measured <= base.performance:
         return MergeOutcome(Outcome.REJECTED_NOT_BETTER, measured)
+    # The evaluation may be long; re-check before touching the shared state
+    # so a stop between evaluate and merge discards the result.
+    if not check_stop_during_evaluation(job, 1.0):
+        raise EvaluationAborted("stop requested after evaluation")
 
     delta = measured - base.performance
     proposal = ChangeProposal(
@@ -390,21 +410,30 @@ def work_loop(
     the signal itself), or ``cancel`` reports true.  Transient share errors
     are retried briefly; a missing best.dat aborts with
     :class:`NotInitializedError`.
+
+    The worker's tally stays in memory.  The loop syncs it (writes its own
+    tally if it changed, then re-reads the fleet's) at the first loop top,
+    at the loop top after a commit, and otherwise at most once per
+    ``TALLY_SYNC_INTERVAL``; it writes the tally once more on every normal
+    exit.
     """
     cancel = cancel or (lambda: False)
     rng = rng or random.Random()
     report = LoopReport()
     tally = WorkerTally()
+    flushed = tally  # the tally last written; an empty one is never written
     tallies = TallyReader(job)
+    last_sync = -math.inf  # job-clock time of the last sync; -inf makes one due
     proposals_since_commit = 0
     last_seen_version: int | None = None
 
     def record(base: BestState, change: tuple[int, int], outcome: MergeOutcome) -> None:
-        nonlocal tally, proposals_since_commit
+        nonlocal tally, proposals_since_commit, last_sync
         report.evaluations += 1
         if outcome.kind is Outcome.COMMITTED:
             report.commits += 1
             proposals_since_commit = 0
+            last_sync = -math.inf
         else:
             report.rejects_by_kind[outcome.kind.value] += 1
             proposals_since_commit += 1
@@ -416,7 +445,6 @@ def work_loop(
             rejects_conflict=tally.rejects_conflict + (outcome.kind is Outcome.REJECTED_CONFLICT),
             rejects_stale=tally.rejects_stale + (outcome.kind is Outcome.REJECTED_STALE),
         )
-        _io_retry(job, lambda: append_tally(job, worker_id, tally))
         log.info(
             "t=%.3f %s: base v%d change (%d -> %d) %s",
             job.clock.now(),
@@ -455,9 +483,22 @@ def work_loop(
         record(base, change, outcome)
         return outcome
 
+    def flush() -> None:
+        nonlocal flushed
+        if tally != flushed:
+            _io_retry(job, lambda: append_tally(job, worker_id, tally))
+            flushed = tally
+
     def stop_now(best: BestState) -> bool:
-        _io_retry(job, tallies.refresh)
-        return stop.satisfied(best.performance, tallies.fleet_evaluations())
+        nonlocal last_sync
+        now = job.clock.now()
+        # A wall clock stepped back also forces a sync, rather than none.
+        if not 0.0 <= now - last_sync < TALLY_SYNC_INTERVAL:
+            flush()
+            _io_retry(job, tallies.refresh)
+            last_sync = now
+        fleet = tallies.evaluations_excluding(worker_id) + tally.evaluations
+        return stop.satisfied(best.performance, fleet)
 
     while True:
         if cancel():
@@ -494,6 +535,7 @@ def work_loop(
         change = propose(base, objective, rng)
         one_proposal(base, change)
 
+    flush()
     return report
 
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from idleclimb.clock import VirtualClock
@@ -35,6 +37,25 @@ class CrashInjectionBackend:
 
         def wrapped(*args, **kwargs):
             self._step()
+            return attr(*args, **kwargs)
+
+        return wrapped
+
+
+class CountingBackend:
+    """Backend wrapper that counts primitive operations by name."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.ops = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if name == "describe" or not callable(attr):
+            return attr
+
+        def wrapped(*args, **kwargs):
+            self.ops[name] += 1
             return attr(*args, **kwargs)
 
         return wrapped

@@ -154,6 +154,21 @@ class TestBestRecord:
         with pytest.raises(FormatError, match="checksum"):
             read_best(job)
 
+    def test_corrupted_rewrite_of_a_cached_record_still_rejected(self, mem_job):
+        job = mem_job()
+        publish_initial(job, state(performance=1.0))
+        good = job.backend.read_text(BEST_FILE)
+        first = read_best(job)
+        assert read_best(job) == first  # the unchanged text is served from the memo
+        corrupt = good.replace("performance=1", "performance=2")
+        assert len(corrupt) == len(good) and corrupt != good
+        job.backend.write_atomic(BEST_FILE, corrupt)
+        for _ in range(2):  # a rejected text is not memoised either
+            with pytest.raises(FormatError, match="checksum"):
+                read_best(job)
+        job.backend.write_atomic(BEST_FILE, good)
+        assert read_best(job) == first
+
     def test_malformed_line_named(self):
         with pytest.raises(FormatError, match="line 1"):
             parse_best("garbage without equals\n")

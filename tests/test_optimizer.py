@@ -6,19 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CountingBackend
 from idleclimb.coordination import (
     AlreadyInitializedError,
     BEST_FILE,
     FsBackend,
     JobDirectory,
+    MemBackend,
     NotInitializedError,
     read_best,
+    read_fleet_tally,
+    signal_clear,
     signal_exists,
     signal_set,
 )
 from idleclimb.clock import VirtualClock
-from idleclimb.objective import EvaluationAborted, PhaseMaskObjective, neighbors
+from idleclimb.objective import (
+    EvaluationAborted,
+    PhaseMaskObjective,
+    brute_force_optimum,
+    neighbors,
+)
 from idleclimb.optimizer import (
+    TALLY_SYNC_INTERVAL,
     OptimizerMode,
     Outcome,
     StopCondition,
@@ -308,6 +318,131 @@ class TestWorkLoop:
         assert read_best(job).version == report.commits
         total_rejects = sum(report.rejects_by_kind.values())
         assert report.evaluations == report.commits + total_rejects
+
+
+class SleepingObjective:
+    """Spends ``duration`` of virtual time per evaluation, then scores with
+    the wrapped objective (which checks ``checkpoint(0.0)`` first)."""
+
+    def __init__(self, inner, clock, duration):
+        self._inner = inner
+        self._clock = clock
+        self._duration = duration
+        self.length = inner.length
+        self.level_count = inner.level_count
+        self.cost_hint = inner.cost_hint
+
+    def evaluate(self, config, checkpoint=None):
+        self._clock.sleep(self._duration)
+        return self._inner.evaluate(config, checkpoint)
+
+
+def counted_job_at_optimum():
+    """A counting job initialised at OBJ8's global optimum, so every
+    proposal is not_better: the late phase of a job."""
+    backend = CountingBackend(MemBackend())
+    job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="late")
+    initialize(job, brute_force_optimum(OBJ8)[0], OBJ8)
+    signal_set(job)
+    backend.ops.clear()
+    return job, backend.ops
+
+
+class TestProposalCost:
+    def test_late_phase_costs_about_two_directory_operations(self):
+        # 10 ms per evaluation: 10 s of job clock, so the interval sync
+        # runs about ten times.
+        job, ops = counted_job_at_optimum()
+        budget = 1000
+        report = work_loop(job, "w", SleepingObjective(OBJ8, job.clock, 0.01),
+                           OptimizerMode.REPLACE_IF_BETTER,
+                           StopCondition(max_total_evaluations=budget),
+                           rng=random.Random(2))
+        assert report.evaluations == report.rejects_by_kind["not_better"] == budget
+        assert sum(ops.values()) / budget <= 2.1
+        assert ops["exists"] == budget + 1  # one signal read per loop top
+        assert ops["read_text"] == budget + 1  # one best.dat read per loop top
+        # One tally sync per second of job clock, plus the flush on exit.
+        assert max(ops["read_tail"], ops["append_line"]) <= 10 + 1
+
+    def test_tallies_sync_once_per_interval(self):
+        job, ops = counted_job_at_optimum()
+        duration = TALLY_SYNC_INTERVAL / 4
+        work_loop(job, "w", SleepingObjective(OBJ8, job.clock, duration),
+                  OptimizerMode.REPLACE_IF_BETTER, StopCondition(max_total_evaluations=40),
+                  rng=random.Random(2))
+        # Loop tops at t = 0, 0.25, ..., 10 sync at each whole second.  The
+        # t = 0 sync has no evaluation to write, and the t = 10 sync precedes
+        # the stop, so the exit has nothing new to write either.
+        assert ops["read_tail"] == 11
+        assert ops["append_line"] == 10
+
+    def test_commit_syncs_at_the_next_loop_top(self, mem_job):
+        inner = fresh_job(mem_job)
+        job = JobDirectory(backend=CountingBackend(inner.backend), clock=inner.clock,
+                           job_id=inner.job_id)
+        report = work_loop(job, "w", OBJ8, OptimizerMode.REPLACE_IF_BETTER,
+                           StopCondition(max_total_evaluations=40), rng=random.Random(1))
+        # The clock never moves, so only the first loop top and commits sync.
+        assert report.commits > 0
+        assert job.backend.ops["read_tail"] == 1 + report.commits
+
+
+def _exit_via(reason, mem_job):
+    """Run one loop on a fresh job until it exits for ``reason``."""
+    if reason == "stagnation":
+        obj = PhaseMaskObjective(length=6, level_count=2, target_order=1)
+        job = fresh_job(mem_job, config=(0,) * 6, obj=obj)
+        return job, work_loop(job, "w", obj, OptimizerMode.REPLACE_IF_BETTER,
+                              StopCondition(stagnation_proposals=10), rng=random.Random(3))
+    job = fresh_job(mem_job)
+    seen = []
+
+    def observe(rec):
+        seen.append(rec)
+        if reason == "signal_cleared" and len(seen) == 7:
+            signal_clear(job)  # an operator stop, seen at the next loop top
+
+    stop = StopCondition(max_total_evaluations=23 if reason == "stop_condition" else None)
+    report = work_loop(job, "w", OBJ8, OptimizerMode.REPLACE_IF_BETTER, stop,
+                       (lambda: len(seen) >= 5) if reason == "cancelled" else None,
+                       rng=random.Random(4), observer=observe)
+    return job, report
+
+
+class TestTallySync:
+    @pytest.mark.parametrize(
+        "reason", ["signal_cleared", "stop_condition", "cancelled", "stagnation"]
+    )
+    def test_every_exit_flushes_the_tally(self, mem_job, reason):
+        job, report = _exit_via(reason, mem_job)
+        assert report.exit_reason == reason
+        assert report.evaluations > 0
+        tally = read_fleet_tally(job)["w"]
+        assert tally.evaluations == report.evaluations
+        assert tally.commits == report.commits
+        assert tally.rejects_not_better == report.rejects_by_kind["not_better"]
+
+    def test_lone_worker_stops_at_exactly_the_budget(self, mem_job):
+        budget = 37
+        job = fresh_job(mem_job)
+        report = work_loop(job, "w", OBJ8, OptimizerMode.REPLACE_IF_BETTER,
+                           StopCondition(max_total_evaluations=budget),
+                           rng=random.Random(budget))
+        assert report.exit_reason == "stop_condition"
+        assert report.evaluations == budget
+        assert read_fleet_tally(job)["w"].evaluations == budget
+
+    def test_not_better_result_after_a_stop_is_kept_without_touching_the_share(self, mem_job):
+        obj = PhaseMaskObjective(length=4, level_count=2, target_order=0)
+        job = mem_job()
+        initialize(job, (0, 0, 0, 0), obj)  # the global optimum for k=0
+        base = read_best(job)  # the signal is already gone: a stop mid-evaluation
+        counted = JobDirectory(backend=CountingBackend(job.backend), clock=job.clock,
+                               job_id=job.job_id)
+        outcome = evaluate_and_merge(counted, base, (0, 1), obj, OptimizerMode.REPLACE_IF_BETTER)
+        assert outcome.kind is Outcome.REJECTED_NOT_BETTER
+        assert not counted.backend.ops
 
 
 class TestInvariants:
