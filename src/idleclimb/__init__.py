@@ -48,7 +48,6 @@ from .simharness import (
 )
 from .worker import (
     DaemonReport,
-    InstanceGuard,
     TraceProbe,
     WorkerConfig,
     run_daemon,
@@ -64,7 +63,6 @@ __all__ = [
     "CoordinationError",
     "DaemonReport",
     "FsBackend",
-    "InstanceGuard",
     "JobDirectory",
     "JobSetup",
     "MemBackend",

@@ -32,6 +32,11 @@ lock plus a write-to-temp-then-atomic-rename discipline, and every record
 carries a checksum so a torn write is rejected instead of parsed.  All
 operations are safe to call concurrently from independent processes; the
 lock file is the only mutual exclusion there is.
+
+Every ``key=value`` file except best.dat (the lock, the manifest, and the
+simulator's scenario and the daemon's configuration files) is read by one
+codec, :func:`parse_fields`.  best.dat keeps its own parser because of its
+checksum framing.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Protocol, Union
+from typing import Mapping, Protocol, Union
 
 from .clock import Clock, WallClock
 
@@ -79,7 +84,7 @@ class AlreadyInitializedError(CoordinationError):
     """best.dat already exists and force was not requested."""
 
 
-class FormatError(CoordinationError):
+class FormatError(CoordinationError, ValueError):
     """A protocol file failed to parse; the message names the bad line."""
 
 
@@ -351,6 +356,37 @@ class JobDirectory:
 
 
 # ---------------------------------------------------------------------------
+# The key=value codec
+
+
+def parse_fields(
+    text: str, source: str, repeated: frozenset[str] = frozenset()
+) -> dict[str, str | list[str]]:
+    """Parse one ``key=value`` text.
+
+    Blank lines and ``#`` comment lines are skipped, keys and values are
+    stripped, and a later key replaces an earlier one.  Each key in
+    ``repeated`` instead collects its values, in order, into a list (empty
+    when the key never appears).  A line without ``=`` raises
+    :class:`FormatError` naming ``source`` and the line number.
+    """
+    fields: dict[str, str | list[str]] = {key: [] for key in repeated}
+    for i, raw in enumerate(text.splitlines()):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise FormatError(f"{source} line {i + 1}: expected key=value, got {line!r}")
+        key, value = key.strip(), value.strip()
+        if key in repeated:
+            fields[key].append(value)
+        else:
+            fields[key] = value
+    return fields
+
+
+# ---------------------------------------------------------------------------
 # Signal file
 
 
@@ -447,7 +483,7 @@ def read_best(job: JobDirectory) -> BestState:
         text = job.backend.read_text(BEST_FILE)
     except FileNotFoundError:
         raise NotInitializedError(
-            f"{job.path}: best.dat missing; the job was never initialized"
+            f"{job.path}: not initialized (best.dat missing; run init first)"
         ) from None
     return parse_best(text)
 
@@ -459,7 +495,9 @@ def publish_initial(job: JobDirectory, state: BestState, force: bool = False) ->
         job.backend.write_atomic(BEST_FILE, data)
         return
     if not job.backend.create_exclusive(BEST_FILE, data):
-        raise AlreadyInitializedError(f"{job.path}: best.dat already exists")
+        raise AlreadyInitializedError(
+            f"{job.path}: already initialized (best.dat exists; force to overwrite)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +513,9 @@ def _serialize_lock(handle: LockHandle) -> str:
 
 
 def _parse_lock(text: str) -> LockHandle | None:
-    fields = {}
-    for line in text.splitlines():
-        if "=" in line:
-            key, value = line.split("=", 1)
-            fields[key] = value
+    """The lock's holder, or None for a lock file that does not parse."""
     try:
+        fields = parse_fields(text, LOCK_FILE)
         return LockHandle(
             owner=fields["owner"],
             acquired_at=float(fields["acquired_at"]),
@@ -548,7 +583,7 @@ def release_lock(job: JobDirectory, handle: LockHandle) -> None:
 # Committing updates
 
 
-def _commit_line(version: int, change: ChangeProposal) -> str:
+def commit_line(version: int, change: ChangeProposal) -> str:
     """The changes.log line for one commit, as :func:`read_commit_log` parses it."""
     return (
         f"{version} {change.index} {change.new_value} "
@@ -585,32 +620,8 @@ def commit_update(
             return VersionConflict(current=current)
         job.backend.write_atomic(BEST_FILE, serialize_best(new_state))
         if change is not None:
-            job.backend.append_line(CHANGES_FILE, _commit_line(new_state.version, change))
+            job.backend.append_line(CHANGES_FILE, commit_line(new_state.version, change))
         return Committed(state=new_state)
-    finally:
-        release_lock(job, handle)
-
-
-def overwrite_update(
-    job: JobDirectory,
-    make_state: Callable[[BestState], BestState],
-    *,
-    change: ChangeProposal | None = None,
-    stale_after: float = DEFAULT_STALE_AFTER,
-) -> BestState:
-    """Unconditional read-modify-write under the lock, no version check.
-
-    This is the unsafe update style the double-read merge protocol exists to
-    replace; it is kept for demonstrating the lost-update failure mode.
-    """
-    handle = acquire_lock(job, "overwrite", stale_after)
-    try:
-        current = read_best(job)
-        new_state = make_state(current)
-        job.backend.write_atomic(BEST_FILE, serialize_best(new_state))
-        if change is not None:
-            job.backend.append_line(CHANGES_FILE, _commit_line(new_state.version, change))
-        return new_state
     finally:
         release_lock(job, handle)
 
@@ -698,15 +709,6 @@ def read_fleet_tally(job: JobDirectory) -> dict[str, WorkerTally]:
     return reader.per_worker
 
 
-def read_commit_count(job: JobDirectory) -> int:
-    """Number of committed updates recorded in the audit trail."""
-    try:
-        text = job.backend.read_text(CHANGES_FILE)
-    except FileNotFoundError:
-        return 0
-    return sum(1 for line in text.splitlines() if line and not line.startswith("#"))
-
-
 def read_commit_log(job: JobDirectory) -> list[tuple[int, int, int, float, str]]:
     """Parsed commit lines: (version, index, new_value, delta, proposer)."""
     try:
@@ -739,12 +741,4 @@ def read_manifest(job: JobDirectory) -> dict[str, str]:
         text = job.backend.read_text(MANIFEST_FILE)
     except FileNotFoundError:
         raise FormatError(f"{job.path}: manifest.dat missing") from None
-    params: dict[str, str] = {}
-    for i, line in enumerate(text.splitlines()):
-        if not line.strip() or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"manifest.dat line {i + 1}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        params[key] = value
-    return params
+    return parse_fields(text, MANIFEST_FILE)

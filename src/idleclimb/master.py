@@ -6,14 +6,15 @@ can coordinate one job and contribute idle cycles to another.
 
 Commands print line-oriented ``key=value`` output.  Exit codes: 0 success,
 2 invalid parameters, 3 wrong job state (not initialized, already
-initialized, or still running), 4 I/O failure.
+initialized, or still running), 4 any other protocol failure (an
+unreachable share, an unreadable protocol file).  Failures print one
+``error=`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from typing import Sequence
 
@@ -29,10 +30,6 @@ EXIT_IO = 4
 
 def _print(key: str, value) -> None:
     print(f"{key}={value}")
-
-
-def _open(path: str) -> coord.JobDirectory:
-    return coord.JobDirectory.open(path)
 
 
 def cmd_init(args) -> int:
@@ -60,20 +57,8 @@ def cmd_init(args) -> int:
     }
     manifest.update(stop.manifest_params())
     coord.write_manifest(job, manifest)
-
-    if args.init_config == "zero":
-        config = (0,) * args.n
-    else:
-        rng = random.Random(args.seed)
-        config = tuple(rng.randrange(args.levels) for _ in range(args.n))
-    try:
-        state = optimizer.initialize(job, config, objective, force=args.force)
-    except coord.AlreadyInitializedError:
-        print("error=already initialized (use --force to overwrite)", file=sys.stderr)
-        return EXIT_STATE
-    except coord.ShareUnreachableError as exc:
-        print(f"error={exc}", file=sys.stderr)
-        return EXIT_IO
+    config = objmod.initial_config(objective, args.init_config, args.seed)
+    state = optimizer.initialize(job, config, objective, force=args.force)
     _print("job_id", job.job_id)
     _print("version", state.version)
     _print("performance", f"{state.performance:.17g}")
@@ -82,51 +67,23 @@ def cmd_init(args) -> int:
 
 
 def cmd_start(args) -> int:
-    try:
-        job = _open(args.dir)
-        coord.read_best(job)  # refuse to wave workers at an uninitialized job
-    except coord.NotInitializedError:
-        print("error=not initialized (run init first)", file=sys.stderr)
-        return EXIT_STATE
-    except coord.CoordinationError as exc:
-        print(f"error={exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        coord.signal_set(job)
-    except coord.CoordinationError as exc:
-        print(f"error={exc}", file=sys.stderr)
-        return EXIT_IO
+    job = coord.JobDirectory.open(args.dir)
+    coord.read_best(job)  # refuse to wave workers at an uninitialized job
+    coord.signal_set(job)
     _print("signal", "set")
     return EXIT_OK
 
 
 def cmd_stop(args) -> int:
-    try:
-        job = _open(args.dir)
-        coord.signal_clear(job)
-    except coord.CoordinationError as exc:
-        print(f"error={exc}", file=sys.stderr)
-        return EXIT_IO
+    coord.signal_clear(coord.JobDirectory.open(args.dir))
     _print("signal", "cleared")
     return EXIT_OK
 
 
 def cmd_status(args) -> int:
-    try:
-        job = _open(args.dir)
-    except coord.CoordinationError as exc:
-        print(f"error={exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        present = coord.signal_exists(job)
-    except coord.CoordinationError as exc:
-        print(f"error={exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        state = coord.read_best(job)
-    except coord.NotInitializedError:
-        print("error=not initialized", file=sys.stderr)
-        return EXIT_STATE
+    job = coord.JobDirectory.open(args.dir)
+    present = coord.signal_exists(job)
+    state = coord.read_best(job)
     _print("job_id", job.job_id)
     _print("signal", "present" if present else "absent")
     _print("version", state.version)
@@ -134,25 +91,17 @@ def cmd_status(args) -> int:
     _print("estimated", int(state.estimated))
     _print("updated_by", state.updated_by)
     _print("updated_at", f"{state.updated_at:.6f}")
-    _print("commits", coord.read_commit_count(job))
+    _print("commits", len(coord.read_commit_log(job)))
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    try:
-        job = _open(args.dir)
-        if coord.signal_exists(job):
-            print("error=job still running (stop it before reporting)", file=sys.stderr)
-            return EXIT_STATE
-        manifest = coord.read_manifest(job)
-        objective = objmod.from_manifest(manifest)
-        audit = optimizer.audit_estimate(job, objective)
-    except coord.NotInitializedError:
-        print("error=not initialized", file=sys.stderr)
+    job = coord.JobDirectory.open(args.dir)
+    if coord.signal_exists(job):
+        print("error=job still running (stop it before reporting)", file=sys.stderr)
         return EXIT_STATE
-    except coord.CoordinationError as exc:
-        print(f"error={exc}", file=sys.stderr)
-        return EXIT_IO
+    objective = objmod.from_manifest(coord.read_manifest(job))
+    audit = optimizer.audit_estimate(job, objective)
     state = audit.recorded
     _print("job_id", job.job_id)
     _print("version", state.version)
@@ -162,7 +111,7 @@ def cmd_report(args) -> int:
     _print("estimated", int(state.estimated))
     _print("estimate_drift", f"{audit.drift:.17g}")
     tallies = coord.read_fleet_tally(job)
-    _print("commits", coord.read_commit_count(job))
+    _print("commits", len(coord.read_commit_log(job)))
     _print("evaluations", sum(t.evaluations for t in tallies.values()))
     _print("rejected_not_better", sum(t.rejects_not_better for t in tallies.values()))
     _print("rejected_conflict", sum(t.rejects_conflict for t in tallies.values()))
@@ -198,8 +147,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command.  Commands raise protocol errors; this is the one
+    place that maps them to an ``error=`` line and an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except coord.CoordinationError as exc:
+        print(f"error={exc}", file=sys.stderr)
+        if isinstance(exc, (coord.NotInitializedError, coord.AlreadyInitializedError)):
+            return EXIT_STATE
+        return EXIT_IO
 
 
 if __name__ == "__main__":

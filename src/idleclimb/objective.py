@@ -14,6 +14,7 @@ power it diffracts into a chosen far-field order:
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Protocol
 
@@ -92,6 +93,15 @@ def spectrum(config: Config, level_count: int) -> np.ndarray:
     phasors = np.exp(-2j * np.pi * np.outer(orders, orders) / n)
     coeffs = phasors @ amplitudes
     return np.abs(coeffs) ** 2 / n**2
+
+
+def initial_config(obj: Objective, kind: str, seed: int) -> Config:
+    """A job's starting configuration: all zeros when ``kind`` is "zero",
+    otherwise uniformly random levels drawn from ``random.Random(seed)``."""
+    if kind == "zero":
+        return (0,) * obj.length
+    rng = random.Random(seed)
+    return tuple(rng.randrange(obj.level_count) for _ in range(obj.length))
 
 
 def neighbors(obj: Objective, config: Config) -> Iterator[tuple[int, int]]:

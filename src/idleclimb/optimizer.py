@@ -30,6 +30,8 @@ from enum import Enum
 from typing import Callable, Mapping
 
 from .coordination import (
+    BEST_FILE,
+    CHANGES_FILE,
     BestState,
     ChangeProposal,
     Committed,
@@ -40,10 +42,11 @@ from .coordination import (
     TallyReader,
     WorkerTally,
     append_tally,
+    commit_line,
     commit_update,
-    overwrite_update,
     publish_initial,
     read_best,
+    serialize_best,
     signal_clear,
     signal_exists,
 )
@@ -211,11 +214,10 @@ def propose(base: BestState, objective: Objective, rng: random.Random) -> tuple[
     return index, new_value
 
 
-def check_stop_during_evaluation(job: JobDirectory, elapsed_fraction: float) -> bool:
+def check_stop_during_evaluation(job: JobDirectory) -> bool:
     """Intermittent mid-evaluation check: keep going only while the signal is
     up.  An unreachable share reads as 'stop' so a dead link cannot strand a
     worker in a long computation."""
-    del elapsed_fraction
     try:
         return signal_exists(job)
     except CoordinationError:
@@ -231,7 +233,6 @@ def evaluate_and_merge(
     *,
     proposer: str = "worker",
     cancel: CancelCheck | None = None,
-    max_retries: int = MERGE_MAX_RETRIES,
 ) -> MergeOutcome:
     """Evaluate one change against the base the caller read, then merge it
     against the freshly re-read global best.
@@ -254,7 +255,7 @@ def evaluate_and_merge(
             return False
         if fraction <= 0.0 or fraction >= 1.0:
             return True  # no work to save yet, or the pre-merge check follows
-        return check_stop_during_evaluation(job, fraction)
+        return check_stop_during_evaluation(job)
 
     measured = objective.evaluate(candidate, checkpoint)
     if cancelled():
@@ -263,7 +264,7 @@ def evaluate_and_merge(
         return MergeOutcome(Outcome.REJECTED_NOT_BETTER, measured)
     # The evaluation may be long; re-check before touching the shared state
     # so a stop between evaluate and merge discards the result.
-    if not check_stop_during_evaluation(job, 1.0):
+    if not check_stop_during_evaluation(job):
         raise EvaluationAborted("stop requested after evaluation")
 
     delta = measured - base.performance
@@ -277,7 +278,7 @@ def evaluate_and_merge(
     )
 
     latest = read_best(job)
-    for _ in range(max_retries + 1):
+    for _ in range(MERGE_MAX_RETRIES + 1):
         if latest.version == base.version:
             new_state = BestState(
                 version=latest.version + 1,
@@ -334,7 +335,9 @@ def naive_replace(
     proposer: str = "worker",
 ) -> BestState | None:
     """The no-second-read update: evaluate against ``base`` and, if better,
-    overwrite whatever is stored with base-plus-change.
+    overwrite whatever is stored with base-plus-change and append its commit
+    line.  It takes no lock and checks no version: the lost update it shows
+    comes from the missing second read, not from a race on the write.
 
     Kept only to demonstrate the lost-update failure the double-read merge
     prevents.  Never used by :func:`work_loop`.
@@ -352,18 +355,17 @@ def naive_replace(
         delta=measured - base.performance,
         proposer=proposer,
     )
-
-    def make(current: BestState) -> BestState:
-        return BestState(
-            version=current.version + 1,
-            config=candidate,
-            performance=measured,
-            estimated=False,
-            updated_by=proposer,
-            updated_at=job.clock.now(),
-        )
-
-    return overwrite_update(job, make, change=proposal)
+    state = BestState(
+        version=read_best(job).version + 1,
+        config=candidate,
+        performance=measured,
+        estimated=False,
+        updated_by=proposer,
+        updated_at=job.clock.now(),
+    )
+    job.backend.write_atomic(BEST_FILE, serialize_best(state))
+    job.backend.append_line(CHANGES_FILE, commit_line(state.version, proposal))
+    return state
 
 
 @dataclass(frozen=True)
@@ -415,7 +417,8 @@ def work_loop(
     tally if it changed, then re-reads the fleet's) at the first loop top,
     at the loop top after a commit, and otherwise at most once per
     ``TALLY_SYNC_INTERVAL``; it writes the tally once more on every normal
-    exit.
+    exit.  The tally is cumulative per worker id: a loop that rejoins a job
+    starts from the tally its earlier loops left there.
     """
     cancel = cancel or (lambda: False)
     rng = rng or random.Random()
@@ -490,12 +493,16 @@ def work_loop(
             flushed = tally
 
     def stop_now(best: BestState) -> bool:
-        nonlocal last_sync
+        nonlocal last_sync, tally, flushed
         now = job.clock.now()
         # A wall clock stepped back also forces a sync, rather than none.
         if not 0.0 <= now - last_sync < TALLY_SYNC_INTERVAL:
             flush()
             _io_retry(job, tallies.refresh)
+            if not tally.evaluations:
+                # Nothing counted yet: a worker re-entering the job under its
+                # id counts on from its earlier loops' tally.
+                tally = flushed = tallies.per_worker.get(worker_id, tally)
             last_sync = now
         fleet = tallies.evaluations_excluding(worker_id) + tally.evaluations
         return stop.satisfied(best.performance, fleet)

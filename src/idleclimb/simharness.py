@@ -39,11 +39,18 @@ from .coordination import (
     JobDirectory,
     MemBackend,
     SIGNAL_FILE,
+    parse_fields,
     read_best,
     signal_clear,
     signal_set,
 )
-from .objective import Config, EvaluationAborted, Objective, PhaseMaskObjective
+from .objective import (
+    Config,
+    EvaluationAborted,
+    Objective,
+    PhaseMaskObjective,
+    initial_config,
+)
 from .optimizer import (
     Outcome,
     OptimizerMode,
@@ -278,10 +285,6 @@ class ClockedObjective:
         self.level_count = inner.level_count
         self.cost_hint = inner.cost_hint
 
-    @property
-    def checkpoint_interval(self) -> float:
-        return self._duration / self._slices
-
     def evaluate(self, config: Config, checkpoint=None) -> float:
         dt = self._duration / self._slices
         for i in range(self._slices):
@@ -342,12 +345,7 @@ class JobSetup:
     job_id: str = "sim"
 
     def initial_config(self) -> Config:
-        if self.init_config == "zero":
-            return (0,) * self.objective.length
-        rng = random.Random(self.init_seed)
-        return tuple(
-            rng.randrange(self.objective.level_count) for _ in range(self.objective.length)
-        )
+        return initial_config(self.objective, self.init_config, self.init_seed)
 
 
 @dataclass(frozen=True)
@@ -764,25 +762,12 @@ def _parse_worker(value: str) -> SimWorker:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse the key=value scenario format (repeated worker= and kill= lines)."""
-    values: dict[str, str] = {}
-    workers: list[SimWorker] = []
-    kills: list[tuple[str, float]] = []
-    for i, raw in enumerate(text.splitlines()):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"scenario line {i + 1}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key == "worker":
-            workers.append(_parse_worker(value))
-        elif key == "kill":
-            wid, at = value.rsplit("@", 1)
-            kills.append((wid.strip(), float(at)))
-        else:
-            values[key] = value.strip()
-
+    values = parse_fields(text, "scenario", repeated=frozenset({"worker", "kill"}))
+    workers = [_parse_worker(value) for value in values["worker"]]
+    kills = []
+    for value in values["kill"]:
+        wid, at = value.rsplit("@", 1)
+        kills.append((wid.strip(), float(at)))
     if not workers:
         raise ValueError("scenario defines no worker= lines")
     setup = JobSetup(
@@ -801,15 +786,7 @@ def parse_scenario(text: str) -> Scenario:
         t_io=float(values.get("t_io", 0.001)),
         seed=int(values.get("seed", 0)),
         horizon=float(values.get("horizon", 1e9)),
-        stop=StopCondition(
-            max_total_evaluations=int(values["stop_max_evals"])
-            if "stop_max_evals" in values
-            else None,
-            target_performance=float(values["stop_target"]) if "stop_target" in values else None,
-            stagnation_proposals=int(values["stop_stagnation"])
-            if "stop_stagnation" in values
-            else None,
-        ),
+        stop=StopCondition.from_manifest(values),
         checkpoint_fraction=float(values.get("checkpoint_fraction", 0.1)),
     )
     clear_at = float(values["clear_signal_at"]) if "clear_signal_at" in values else None

@@ -3,10 +3,15 @@
 Emulates the scheduling contract of a desktop task scheduler: wake every
 ``poll_interval`` seconds, start the optimization loop only when the machine
 has been user-idle past a threshold and the current time falls inside the
-configured daily window, never run two instances at once, and cancel the
-loop as soon as the user comes back.  Cancellation is cooperative: the loop
-checks between protocol steps and at evaluation checkpoints, and the file
-protocol tolerates genuinely hard kills anyway.
+configured daily window, and cancel the loop as soon as the user comes back.
+A daemon never runs two loops at once because it runs them one at a time:
+a tick that starts a loop returns only when the loop ends.  Cancellation is
+cooperative: the loop checks between protocol steps and at evaluation
+checkpoints, and the file protocol tolerates genuinely hard kills anyway.
+
+The configuration file is ``key=value`` lines with repeated ``job=`` lines,
+read by :func:`idleclimb.coordination.parse_fields`; unknown keys are
+ignored.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ from __future__ import annotations
 import argparse
 import bisect
 import logging
+import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -24,7 +31,13 @@ from enum import Enum
 from typing import Callable, Protocol, Sequence
 
 from .clock import Clock, SECONDS_PER_DAY, WallClock
-from .coordination import CoordinationError, JobDirectory, read_manifest, signal_exists
+from .coordination import (
+    CoordinationError,
+    JobDirectory,
+    parse_fields,
+    read_manifest,
+    signal_exists,
+)
 from .objective import Objective, from_manifest as objective_from_manifest
 from .optimizer import LoopReport, OptimizerMode, StopCondition, work_loop
 
@@ -34,7 +47,6 @@ log = logging.getLogger(__name__)
 class SkipReason(Enum):
     OUTSIDE_WINDOW = "outside_window"
     NOT_IDLE = "not_idle"
-    ALREADY_RUNNING = "already_running"
     NO_SIGNAL = "no_signal"
     SHARE_ERROR = "share_error"
 
@@ -105,10 +117,8 @@ class WorkerConfig:
     mode: OptimizerMode = OptimizerMode.REPLACE_IF_BETTER
     poll_interval: float = 600.0
     idle_threshold: float = 3600.0
-    retry_window: float = 300.0  # recorded for fidelity; the poll cycle makes it moot
     daily_start: float = 43200.0  # seconds after midnight (12:00)
     daily_duration: float = 85800.0  # 23 h 50 min
-    probe_granule: float = 1.0
 
     def __post_init__(self):
         if self.poll_interval <= 0:
@@ -129,54 +139,26 @@ def in_daily_window(config: WorkerConfig, time_of_day: float) -> bool:
     return time_of_day >= start or time_of_day < end - SECONDS_PER_DAY
 
 
-class InstanceGuard:
-    """In-process single-instance bookkeeping, per (worker, job)."""
-
-    def __init__(self):
-        self._running: set[tuple[str, str]] = set()
-        self._mutex = threading.Lock()
-
-    def acquire(self, worker_id: str, job_id: str) -> bool:
-        with self._mutex:
-            key = (worker_id, job_id)
-            if key in self._running:
-                return False
-            self._running.add(key)
-            return True
-
-    def release(self, worker_id: str, job_id: str) -> None:
-        with self._mutex:
-            self._running.discard((worker_id, job_id))
-
-    def any_running(self, worker_id: str) -> bool:
-        with self._mutex:
-            return any(w == worker_id for w, _ in self._running)
-
-
 def scheduler_tick(
     config: WorkerConfig,
     probe: IdleProbe,
     now: float,
     *,
-    running: bool = False,
     time_of_day: float | None = None,
     clock: Clock | None = None,
 ) -> TickDecision:
     """One scheduling decision.
 
     Starts the first job in scan order whose signal is present, provided the
-    time is inside the daily window, the machine has been idle long enough,
-    and no instance is already running.  Share errors are a Skip, not a
-    failure, mirroring a launcher script that silently exits when the
-    network share is gone.
+    time is inside the daily window and the machine has been idle long
+    enough.  Share errors are a Skip, not a failure, mirroring a launcher
+    script that silently exits when the network share is gone.
     """
     tod = time_of_day if time_of_day is not None else now % SECONDS_PER_DAY
     if not in_daily_window(config, tod):
         return TickDecision(False, reason=SkipReason.OUTSIDE_WINDOW)
     if probe.idle_duration(now) < config.idle_threshold:
         return TickDecision(False, reason=SkipReason.NOT_IDLE)
-    if running:
-        return TickDecision(False, reason=SkipReason.ALREADY_RUNNING)
     any_error = False
     for entry in config.jobs:
         try:
@@ -208,7 +190,6 @@ def run_daemon(
     *,
     objective_for: Callable[[JobDirectory], Objective] | None = None,
     stop_for: Callable[[JobDirectory], StopCondition] | None = None,
-    guard: InstanceGuard | None = None,
     rng: random.Random | None = None,
     observer=None,
 ) -> DaemonReport:
@@ -220,7 +201,6 @@ def run_daemon(
     """
     objective_for = objective_for or (lambda job: objective_from_manifest(read_manifest(job)))
     stop_for = stop_for or (lambda job: StopCondition.from_manifest(read_manifest(job)))
-    guard = guard or InstanceGuard()
     rng = rng or random.Random()
     report = DaemonReport()
     next_tick = clock.now()
@@ -231,19 +211,14 @@ def run_daemon(
             clock.sleep(next_tick - now)
             continue
         decision = scheduler_tick(
-            config,
-            probe,
-            now,
-            running=guard.any_running(config.worker_id),
-            time_of_day=clock.time_of_day(now),
-            clock=clock,
+            config, probe, now, time_of_day=clock.time_of_day(now), clock=clock
         )
         report.ticks += 1
         report.decisions.append((now, decision))
         if decision.start:
             assert decision.job is not None
             _run_one_loop(config, probe, clock, cancel, decision.job, report,
-                          objective_for, stop_for, guard, rng, observer)
+                          objective_for, stop_for, rng, observer)
         next_tick += config.poll_interval
         while next_tick <= clock.now():
             next_tick += config.poll_interval
@@ -251,9 +226,7 @@ def run_daemon(
 
 
 def _run_one_loop(config, probe, clock, cancel, job, report,
-                  objective_for, stop_for, guard, rng, observer) -> None:
-    if not guard.acquire(config.worker_id, job.job_id):
-        return
+                  objective_for, stop_for, rng, observer) -> None:
     report.starts += 1
     loop_start = clock.now()
     killed = False
@@ -282,8 +255,6 @@ def _run_one_loop(config, probe, clock, cancel, job, report,
     except CoordinationError as exc:
         log.warning("%s: loop on %s failed: %s", config.worker_id, job.path, exc)
         return
-    finally:
-        guard.release(config.worker_id, job.job_id)
     report.loop_reports.append(loop_report)
     if loop_report.exit_reason == "cancelled" and killed:
         report.kills += 1
@@ -306,30 +277,14 @@ def parse_time_of_day(text: str) -> float:
 
 def parse_worker_config(text: str) -> WorkerConfig:
     """Parse the key=value daemon configuration (repeated job= lines)."""
-    values: dict[str, str] = {}
-    jobs: list[str] = []
-    for i, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {i + 1}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if key == "job":
-            jobs.append(value)
-        else:
-            values[key] = value
-    import os
-
+    values = parse_fields(text, "config", repeated=frozenset({"job"}))
     worker_id = values.get("worker_id") or f"{os.uname().nodename}:{os.getpid()}"
     return WorkerConfig(
-        jobs=tuple(jobs),
+        jobs=tuple(values["job"]),
         worker_id=worker_id,
         mode=OptimizerMode.parse(values.get("mode", "replace_if_better")),
         poll_interval=float(values.get("poll_interval", 600)),
         idle_threshold=float(values.get("idle_threshold", 3600)),
-        retry_window=float(values.get("retry_window", 300)),
         daily_start=parse_time_of_day(values.get("daily_start", "12:00")),
         daily_duration=float(values.get("daily_duration", 85800)),
     )
@@ -383,14 +338,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     # run
     stop_event = threading.Event()
     clock = WallClock(stop_event)
-    import signal as _signal
 
     def _on_signal(signum, frame):
         del signum, frame
         stop_event.set()
 
-    _signal.signal(_signal.SIGINT, _on_signal)
-    _signal.signal(_signal.SIGTERM, _on_signal)
+    signal.signal(signal.SIGINT, _on_signal)
+    signal.signal(signal.SIGTERM, _on_signal)
+    # From here on SIGINT/SIGTERM end the daemon cleanly; say so, so that a
+    # supervisor knows when stopping it is safe.
+    print(f"ready={config.worker_id}", flush=True)
     report = run_daemon(config, SystemIdleProbe(), clock, stop_event.is_set)
     print(
         f"ticks={report.ticks} starts={report.starts} kills={report.kills} "

@@ -14,6 +14,7 @@ from idleclimb.clock import VirtualClock, WallClock
 from idleclimb.coordination import (
     BEST_FILE,
     LOCK_FILE,
+    MANIFEST_FILE,
     AlreadyInitializedError,
     BestState,
     ChangeProposal,
@@ -27,13 +28,14 @@ from idleclimb.coordination import (
     ShareUnreachableError,
     VersionConflict,
     WorkerTally,
+    _parse_lock,
     acquire_lock,
     append_tally,
     commit_update,
     parse_best,
+    parse_fields,
     publish_initial,
     read_best,
-    read_commit_count,
     read_commit_log,
     read_fleet_tally,
     read_manifest,
@@ -44,6 +46,8 @@ from idleclimb.coordination import (
     signal_set,
     write_manifest,
 )
+from idleclimb.simharness import parse_scenario
+from idleclimb.worker import parse_worker_config
 
 
 def state(version=0, config=(0, 0, 0, 0), performance=1.0, estimated=False,
@@ -196,7 +200,7 @@ class TestCommit:
                                change=proposal())
         assert isinstance(result, Committed)
         assert read_best(job).version == 1
-        assert read_commit_count(job) == 1
+        assert len(read_commit_log(job)) == 1
 
     def test_cas_conflict_leaves_file_unchanged(self, mem_job):
         job = mem_job()
@@ -423,7 +427,7 @@ class TestTallyAndManifest:
         append_tally(job, "w1", WorkerTally(evaluations=1))
         commit_update(job, 0, state(version=1, performance=2.0), change=proposal())
         append_tally(job, "w1", WorkerTally(evaluations=2))
-        assert read_commit_count(job) == 1
+        assert len(read_commit_log(job)) == 1
 
     def test_manifest_round_trip(self, fs_job):
         job = fs_job(job_id="jobbie")
@@ -444,6 +448,68 @@ class TestTallyAndManifest:
         job = JobDirectory.create(str(tmp_path / "j"), "the-job")
         write_manifest(job, {})
         assert JobDirectory.open(str(tmp_path / "j")).job_id == "the-job"
+
+
+def _manifest_from(text):
+    job = JobDirectory(backend=MemBackend(), clock=VirtualClock(), job_id="")
+    job.backend.write_atomic(MANIFEST_FILE, text)
+    return read_manifest(job)
+
+
+# Every key=value reader but best.dat's: (parse, the error's source name or
+# None for a lenient reader, lines each text needs, a key and how to read its
+# value back from the parsed result).
+CODEC_READERS = {
+    "manifest": (_manifest_from, "manifest.dat", "", "n", lambda r: r["n"]),
+    "scenario": (parse_scenario, "scenario", "worker=id=a\n", "job_id",
+                 lambda r: r.setup.job_id),
+    "config": (parse_worker_config, "config", "job=/j\n", "worker_id",
+               lambda r: r.worker_id),
+    "lock": (_parse_lock, None, "acquired_at=1\nstale_after=30\n", "owner",
+             lambda r: r.owner),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(CODEC_READERS))
+class TestKeyValueCodec:
+    def parse(self, reader, body):
+        parse, _, needed, key, value_of = CODEC_READERS[reader]
+        return value_of(parse(needed + body.format(key=key)))
+
+    def test_blank_and_comment_lines_are_skipped(self, reader):
+        assert self.parse(reader, "\n# note\n   \n{key}=x\n  # indented\n\n") == "x"
+
+    def test_keys_and_values_are_stripped(self, reader):
+        assert self.parse(reader, "  {key} =  x  \n") == "x"
+
+    def test_a_duplicate_key_takes_the_last_value(self, reader):
+        assert self.parse(reader, "{key}=x\n{key}=y\n") == "y"
+
+    def test_a_line_without_equals_names_source_and_line(self, reader):
+        parse, source, needed, key, _ = CODEC_READERS[reader]
+        text = f"{needed}{key}=x\nno equals sign\n"
+        if source is None:
+            assert parse(text) is None
+            return
+        line = len(text.splitlines())
+        with pytest.raises(FormatError, match=f"{source} line {line}:") as exc:
+            parse(text)
+        assert isinstance(exc.value, ValueError)
+
+
+class TestRepeatedKeys:
+    def test_repeated_keys_keep_their_order(self):
+        assert parse_fields("k=2\nother=1\nk=1\n", "src", frozenset({"k"})) == {
+            "k": ["2", "1"], "other": "1"}
+        assert parse_fields("", "src", frozenset({"k"})) == {"k": []}
+
+    def test_scenario_workers_and_kills_keep_their_order(self):
+        scenario = parse_scenario("worker=id=b\nworker=id=a\nkill=a@2\nkill=b@1\n")
+        assert [w.id for w in scenario.fleet] == ["b", "a"]
+        assert scenario.kill_schedule == (("a", 2.0), ("b", 1.0))
+
+    def test_config_jobs_keep_their_order(self):
+        assert parse_worker_config("job=/b\njob = /a\n").jobs == ("/b", "/a")
 
 
 class TestMemBackendSemantics:

@@ -1,5 +1,6 @@
 """End to end over a real directory: master CLI, two daemon processes."""
 
+import select
 import signal
 import subprocess
 import sys
@@ -44,6 +45,11 @@ def test_two_daemons_drive_a_job_to_its_stop_condition(tmp_path, capsys):
                  "--config", str(conf)],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             ))
+        # A daemon prints its ready line once SIGTERM ends it cleanly; one
+        # signalled before that (still importing) would die with -15.
+        for proc in daemons:
+            assert select.select([proc.stdout], [], [], 30.0)[0], "no ready line in 30 s"
+            assert proc.stdout.readline().startswith("ready=")
 
         # The fleet reaches the evaluation budget and clears its own signal.
         assert wait_until(lambda: not (jobdir / "go.dat").exists()), \

@@ -9,7 +9,7 @@ from idleclimb.coordination import (
     BEST_FILE,
     JobDirectory,
     read_best,
-    read_commit_count,
+    read_commit_log,
 )
 from idleclimb.objective import PhaseMaskObjective
 from idleclimb.optimizer import OptimizerMode, StopCondition, evaluate_and_merge, work_loop
@@ -130,8 +130,19 @@ class TestStatus:
                   StopCondition(max_total_evaluations=30), rng=random.Random(5))
         code, values, _ = run(capsys, "status", jobdir)
         assert code == 0
-        assert int(values["version"]) == read_commit_count(job)
+        assert int(values["version"]) == len(read_commit_log(job))
         assert int(values["version"]) >= 1
+
+    def test_corrupted_best_exits_4(self, tmp_path, capsys):
+        jobdir = tmp_path / "job"
+        run(capsys, "init", str(jobdir))
+        best = jobdir / BEST_FILE
+        best.write_text(best.read_text().replace("version=0", "version=9"))
+        code, values, err = run(capsys, "status", str(jobdir))
+        assert code == 4
+        assert not values
+        assert err.startswith("error=") and len(err.splitlines()) == 1
+        assert "checksum" in err
 
     def test_missing_best_exits_3(self, tmp_path, capsys):
         jobdir = tmp_path / "job"

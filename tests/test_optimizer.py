@@ -247,16 +247,16 @@ class TestEvaluateAndMerge:
 class TestCheckStop:
     def test_signal_present_continue(self, mem_job):
         job = fresh_job(mem_job)
-        assert check_stop_during_evaluation(job, 0.5) is True
+        assert check_stop_during_evaluation(job) is True
 
     def test_signal_cleared_stop(self, mem_job):
         job = mem_job()
-        assert check_stop_during_evaluation(job, 0.5) is False
+        assert check_stop_during_evaluation(job) is False
 
     def test_unreachable_share_is_conservative_stop(self):
         job = JobDirectory(backend=FsBackend("/nonexistent/share"),
                            clock=VirtualClock(), job_id="x")
-        assert check_stop_during_evaluation(job, 0.5) is False
+        assert check_stop_during_evaluation(job) is False
 
 
 class TestWorkLoop:
@@ -432,6 +432,21 @@ class TestTallySync:
         assert report.exit_reason == "stop_condition"
         assert report.evaluations == budget
         assert read_fleet_tally(job)["w"].evaluations == budget
+
+    def test_a_rejoining_worker_counts_on_from_its_earlier_loops(self, mem_job):
+        job = fresh_job(mem_job)
+
+        def loop(evaluations, seed):
+            seen = []
+            return work_loop(job, "w", OBJ8, OptimizerMode.REPLACE_IF_BETTER, StopCondition(),
+                             lambda: len(seen) >= evaluations, rng=random.Random(seed),
+                             observer=seen.append)
+
+        first, second = loop(7, 1), loop(5, 2)
+        assert (first.evaluations, second.evaluations) == (7, 5)
+        tally = read_fleet_tally(job)["w"]
+        assert tally.evaluations == first.evaluations + second.evaluations
+        assert tally.commits == first.commits + second.commits
 
     def test_not_better_result_after_a_stop_is_kept_without_touching_the_share(self, mem_job):
         obj = PhaseMaskObjective(length=4, level_count=2, target_order=0)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idleclimb.coordination import FsBackend
+from idleclimb.clock import VirtualClock
+from idleclimb.coordination import FsBackend, JobDirectory, MemBackend, read_fleet_tally
 from idleclimb.optimizer import TALLY_SYNC_INTERVAL, OptimizerMode, Outcome, StopCondition
 from idleclimb.simharness import (
     EFFICIENCY_TOLERANCE,
@@ -236,6 +237,19 @@ class TestInterruption:
         report = interruption_test(fleet, kills, sim, default_setup(init_seed=7))
         assert report.versions_gapless
         assert not report.interrupted.incomplete
+
+    def test_a_rejoining_worker_keeps_its_tally(self):
+        """w000 rejoins the job after each of five kills; its tally on the
+        share counts the evaluations of all its loops, not only the last."""
+        backend = MemBackend()
+        report = run_sim(homogeneous_fleet(4, poll_interval=5), default_setup(),
+                         small_sim(seed=1, evals=200),
+                         kill_schedule=[("w000", t) for t in (3.5, 10.5, 17.5, 24.5, 31.5)],
+                         backend=backend)
+        killed = report.worker_stats[0]
+        assert killed.id == "w000" and killed.kills == 5
+        job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="sim")
+        assert read_fleet_tally(job)["w000"].evaluations == killed.evaluations
 
     def test_empty_kill_schedule_is_identity(self):
         sim = small_sim(seed=3, evals=100)

@@ -18,7 +18,6 @@ from idleclimb.objective import PhaseMaskObjective
 from idleclimb.optimizer import OptimizerMode, Outcome, StopCondition, initialize
 from idleclimb.simharness import ClockedObjective
 from idleclimb.worker import (
-    InstanceGuard,
     SkipReason,
     TraceProbe,
     WorkerConfig,
@@ -64,13 +63,6 @@ class TestSchedulerTick:
         probe = TraceProbe(idle_since=TWO_PM - 600.0)
         decision = scheduler_tick(config_for(job), probe, TWO_PM)
         assert not decision.start and decision.reason is SkipReason.NOT_IDLE
-
-    def test_already_running_single_instance(self):
-        clock = VirtualClock(TWO_PM)
-        job = make_job(clock)
-        decision = scheduler_tick(config_for(job), TraceProbe(idle_since=NOON), TWO_PM,
-                                  running=True)
-        assert decision.reason is SkipReason.ALREADY_RUNNING
 
     def test_outside_daily_window(self):
         # Default window is 12:00 for 23h50m: only [11:50, 12:00) is excluded.
@@ -123,25 +115,6 @@ class TestDailyWindow:
                               daily_duration=86400.0)
         for tod in (0.0, 43200.0, 86399.0):
             assert in_daily_window(config, tod)
-
-
-class TestInstanceGuard:
-    def test_second_acquire_busy(self):
-        guard = InstanceGuard()
-        assert guard.acquire("w", "job")
-        assert not guard.acquire("w", "job")
-
-    def test_release_then_reacquire(self):
-        guard = InstanceGuard()
-        assert guard.acquire("w", "job")
-        guard.release("w", "job")
-        assert guard.acquire("w", "job")
-
-    def test_different_jobs_independent(self):
-        guard = InstanceGuard()
-        assert guard.acquire("w", "a")
-        assert guard.acquire("w", "b")
-        assert guard.any_running("w")
 
 
 class _BeginLog:
