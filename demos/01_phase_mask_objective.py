@@ -10,7 +10,8 @@ function: discrete knobs in, one scalar out.
 
 import numpy as np
 
-from idleclimb import PhaseMaskObjective, brute_force_optimum, neighbors, spectrum
+from idleclimb.objective import PhaseMaskObjective, neighbors
+from support import brute_force_optimum, spectrum
 
 obj = PhaseMaskObjective(length=8, level_count=2, target_order=1)
 

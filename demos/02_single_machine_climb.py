@@ -9,19 +9,11 @@ configuration is a certified local optimum.
 
 import random
 
-from idleclimb import (
-    JobDirectory,
-    MemBackend,
-    OptimizerMode,
-    PhaseMaskObjective,
-    StopCondition,
-    VirtualClock,
-    brute_force_optimum,
-    initialize,
-    read_best,
-    signal_set,
-    work_loop,
-)
+from idleclimb.clock import VirtualClock
+from idleclimb.coordination import JobDirectory, MemBackend, read_best, signal_set
+from idleclimb.objective import PhaseMaskObjective
+from idleclimb.optimizer import OptimizerMode, StopCondition, initialize, work_loop
+from support import brute_force_optimum
 
 obj = PhaseMaskObjective(length=8, level_count=2, target_order=1)
 _, global_best = brute_force_optimum(obj)

@@ -9,18 +9,10 @@ the protocol re-reads the best record before every commit.
 
 import tempfile
 
-from idleclimb import (
-    JobDirectory,
-    OptimizerMode,
-    Outcome,
-    PhaseMaskObjective,
-    evaluate_and_merge,
-    initialize,
-    read_best,
-    signal_set,
-)
-from idleclimb.coordination import read_commit_log
-from idleclimb.optimizer import naive_replace
+from idleclimb.coordination import JobDirectory, read_best, read_commit_log, signal_set
+from idleclimb.objective import PhaseMaskObjective
+from idleclimb.optimizer import OptimizerMode, Outcome, evaluate_and_merge, initialize
+from support import naive_replace
 
 obj = PhaseMaskObjective(length=8, level_count=2, target_order=1)
 workdir = tempfile.mkdtemp(prefix="idleclimb-demo-")

@@ -13,8 +13,15 @@ as much as evaluation.
 
 import logging
 
-from idleclimb import SimConfig, SimWorker, StopCondition, ideal_speedup, run_sim
-from idleclimb.simharness import default_setup, sweep_fleet_size
+from idleclimb.optimizer import StopCondition
+from idleclimb.simharness import (
+    SimConfig,
+    SimWorker,
+    default_setup,
+    ideal_speedup,
+    run_sim,
+    sweep_fleet_size,
+)
 
 # The pathological study below provokes lots of expected give-up-on-commit
 # warnings; keep the narrative readable.

@@ -10,19 +10,12 @@ repeatable.
 
 import random
 
-from idleclimb import (
-    JobDirectory,
-    MemBackend,
-    PhaseMaskObjective,
-    StopCondition,
-    TraceProbe,
-    VirtualClock,
-    WorkerConfig,
-    initialize,
-    run_daemon,
-    signal_set,
-)
+from idleclimb.clock import VirtualClock
+from idleclimb.coordination import JobDirectory, MemBackend, signal_set
+from idleclimb.objective import PhaseMaskObjective
+from idleclimb.optimizer import StopCondition, initialize
 from idleclimb.simharness import ClockedObjective
+from idleclimb.worker import TraceProbe, WorkerConfig, run_daemon
 
 
 def hhmm(seconds):

@@ -60,9 +60,5 @@ class VirtualClock:
         if duration > 0:
             self._now += duration
 
-    def advance_to(self, timestamp: float) -> None:
-        if timestamp > self._now:
-            self._now = timestamp
-
     def time_of_day(self, timestamp: float) -> float:
         return timestamp % SECONDS_PER_DAY

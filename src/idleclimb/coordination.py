@@ -351,7 +351,10 @@ class JobDirectory:
 
     @staticmethod
     def create(path: str, job_id: str, clock: Clock | None = None) -> "JobDirectory":
-        os.makedirs(path, exist_ok=True)
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ShareUnreachableError(f"cannot create job directory {path}: {exc}") from exc
         return JobDirectory(backend=FsBackend(path), clock=clock or WallClock(), job_id=job_id)
 
 

@@ -13,20 +13,19 @@ power it diffracts into a chosen far-field order:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Protocol
 
 import numpy as np
 
+from .coordination import FormatError
+
 Config = tuple[int, ...]
 
 # Returns True to continue, False to abandon the evaluation.  The argument is
 # the estimated fraction of work done so far.
 Checkpoint = Callable[[float], bool]
-
-BRUTE_FORCE_LIMIT = 2**20
 
 
 class EvaluationAborted(Exception):
@@ -53,8 +52,8 @@ def validate_config(config: Config, length: int, level_count: int) -> None:
 class PhaseMaskObjective:
     """Diffraction efficiency of an n-element, L-level phase mask into order k.
 
-    Only the single target-order Fourier coefficient is computed (a direct
-    O(n) sum); the full spectrum is available via :func:`spectrum`.
+    Only the single target-order Fourier coefficient is computed, as a
+    direct O(n) sum.
     """
 
     length: int
@@ -85,16 +84,6 @@ def efficiency(config: Config, level_count: int, order: int) -> float:
     return float(abs(coeff) ** 2) / n**2
 
 
-def spectrum(config: Config, level_count: int) -> np.ndarray:
-    """Efficiencies of all n orders, computed with the same direct sum."""
-    n = len(config)
-    amplitudes = np.exp(2j * np.pi * np.asarray(config, dtype=np.float64) / level_count)
-    orders = np.arange(n)
-    phasors = np.exp(-2j * np.pi * np.outer(orders, orders) / n)
-    coeffs = phasors @ amplitudes
-    return np.abs(coeffs) ** 2 / n**2
-
-
 def initial_config(obj: Objective, kind: str, seed: int) -> Config:
     """A job's starting configuration: all zeros when ``kind`` is "zero",
     otherwise uniformly random levels drawn from ``random.Random(seed)``."""
@@ -113,50 +102,12 @@ def neighbors(obj: Objective, config: Config) -> Iterator[tuple[int, int]]:
                 yield index, value
 
 
-def brute_force_optimum(obj: PhaseMaskObjective) -> tuple[Config, float]:
-    """Exhaustive maximizer; ties broken by lexicographically smallest config.
-
-    Refuses search spaces larger than 2**20 configurations.
-    """
-    n, level_count = obj.length, obj.level_count
-    total = level_count**n
-    if total > BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"search space {level_count}^{n} = {total} exceeds the "
-            f"enumeration limit of {BRUTE_FORCE_LIMIT}"
-        )
-    phasor = np.exp(-2j * np.pi * obj.target_order * np.arange(n) / n)
-    best_value = -math.inf
-    best_index = -1
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        count = min(chunk, total - start)
-        # Enumerate configs as base-L digit strings, most significant digit
-        # first, so chunk order is lexicographic order.
-        idx = np.arange(start, start + count)[:, None]
-        digits = (idx // level_count ** np.arange(n - 1, -1, -1)) % level_count
-        amplitudes = np.exp(2j * np.pi * digits / level_count)
-        values = np.abs(amplitudes @ phasor) ** 2 / n**2
-        arg = int(np.argmax(values))
-        # Strict > keeps the earliest (lexicographically smallest) maximizer.
-        if values[arg] > best_value:
-            best_value = float(values[arg])
-            best_index = start + arg
-    digits = []
-    rem = best_index
-    for _ in range(n):
-        digits.append(rem % level_count)
-        rem //= level_count
-    config = tuple(reversed(digits))
-    # Report the exact evaluate() value so the two paths agree bit for bit.
-    return config, efficiency(config, level_count, obj.target_order)
-
-
 def from_manifest(params: Mapping[str, str]) -> PhaseMaskObjective:
-    """Build the objective described by a job manifest."""
+    """Build the objective described by a job manifest.  An unknown
+    objective, a missing key or a malformed value is a :class:`FormatError`."""
     kind = params.get("objective", "")
     if kind != "phase_mask":
-        raise ValueError(f"unknown objective {kind!r} in manifest")
+        raise FormatError(f"unknown objective {kind!r} in manifest")
     try:
         return PhaseMaskObjective(
             length=int(params["n"]),
@@ -164,4 +115,6 @@ def from_manifest(params: Mapping[str, str]) -> PhaseMaskObjective:
             target_order=int(params["target_order"]),
         )
     except KeyError as exc:
-        raise ValueError(f"manifest missing objective key {exc}") from exc
+        raise FormatError(f"manifest missing objective key {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"manifest objective: {exc}") from exc

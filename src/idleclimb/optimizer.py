@@ -30,23 +30,20 @@ from enum import Enum
 from typing import Callable, Mapping
 
 from .coordination import (
-    BEST_FILE,
-    CHANGES_FILE,
     BestState,
     ChangeProposal,
     Committed,
     CoordinationError,
+    FormatError,
     JobDirectory,
     LockContentionError,
     ShareUnreachableError,
     TallyReader,
     WorkerTally,
     append_tally,
-    commit_line,
     commit_update,
     publish_initial,
     read_best,
-    serialize_best,
     signal_clear,
     signal_exists,
 )
@@ -132,10 +129,20 @@ class StopCondition:
 
     @staticmethod
     def from_manifest(params: Mapping[str, str]) -> "StopCondition":
+        """The stop keys of a manifest; a malformed value is a :class:`FormatError`."""
+
+        def value(key: str, kind: type):
+            if key not in params:
+                return None
+            try:
+                return kind(params[key])
+            except ValueError:
+                raise FormatError(f"{key}={params[key]!r} is not {kind.__name__}") from None
+
         return StopCondition(
-            max_total_evaluations=int(params["stop_max_evals"]) if "stop_max_evals" in params else None,
-            target_performance=float(params["stop_target"]) if "stop_target" in params else None,
-            stagnation_proposals=int(params["stop_stagnation"]) if "stop_stagnation" in params else None,
+            max_total_evaluations=value("stop_max_evals", int),
+            target_performance=value("stop_target", float),
+            stagnation_proposals=value("stop_stagnation", int),
         )
 
 
@@ -280,39 +287,26 @@ def evaluate_and_merge(
     latest = read_best(job)
     for _ in range(MERGE_MAX_RETRIES + 1):
         if latest.version == base.version:
-            new_state = BestState(
-                version=latest.version + 1,
-                config=candidate,
-                performance=measured,
-                estimated=False,
-                updated_by=proposer,
-                updated_at=job.clock.now(),
-            )
+            config, performance, estimated = candidate, measured, False
         elif latest.config[index] != base.config[index]:
             # Someone changed the very element we modified; our measurement
             # no longer describes any reachable configuration.
             return MergeOutcome(Outcome.REJECTED_CONFLICT, measured)
         elif mode is OptimizerMode.CHANGE_MERGE:
-            merged = latest.config[:index] + (new_value,) + latest.config[index + 1 :]
-            new_state = BestState(
-                version=latest.version + 1,
-                config=merged,
-                performance=latest.performance + delta,
-                estimated=True,
-                updated_by=proposer,
-                updated_at=job.clock.now(),
-            )
-        else:  # REPLACE_IF_BETTER
-            if measured <= latest.performance:
-                return MergeOutcome(Outcome.REJECTED_STALE, measured)
-            new_state = BestState(
-                version=latest.version + 1,
-                config=candidate,
-                performance=measured,
-                estimated=False,
-                updated_by=proposer,
-                updated_at=job.clock.now(),
-            )
+            config = latest.config[:index] + (new_value,) + latest.config[index + 1 :]
+            performance, estimated = latest.performance + delta, True
+        elif measured <= latest.performance:  # REPLACE_IF_BETTER
+            return MergeOutcome(Outcome.REJECTED_STALE, measured)
+        else:
+            config, performance, estimated = candidate, measured, False
+        new_state = BestState(
+            version=latest.version + 1,
+            config=config,
+            performance=performance,
+            estimated=estimated,
+            updated_by=proposer,
+            updated_at=job.clock.now(),
+        )
         try:
             result = commit_update(job, latest.version, new_state, change=proposal)
         except LockContentionError as exc:
@@ -324,48 +318,6 @@ def evaluate_and_merge(
             return MergeOutcome(Outcome.COMMITTED, measured, state=result.state)
         latest = result.current
     return MergeOutcome(Outcome.REJECTED_STALE, measured)
-
-
-def naive_replace(
-    job: JobDirectory,
-    base: BestState,
-    change: tuple[int, int],
-    objective: Objective,
-    *,
-    proposer: str = "worker",
-) -> BestState | None:
-    """The no-second-read update: evaluate against ``base`` and, if better,
-    overwrite whatever is stored with base-plus-change and append its commit
-    line.  It takes no lock and checks no version: the lost update it shows
-    comes from the missing second read, not from a race on the write.
-
-    Kept only to demonstrate the lost-update failure the double-read merge
-    prevents.  Never used by :func:`work_loop`.
-    """
-    index, new_value = change
-    candidate = base.config[:index] + (new_value,) + base.config[index + 1 :]
-    measured = objective.evaluate(candidate)
-    if measured <= base.performance:
-        return None
-    proposal = ChangeProposal(
-        base_version=base.version,
-        index=index,
-        new_value=new_value,
-        measured_performance=measured,
-        delta=measured - base.performance,
-        proposer=proposer,
-    )
-    state = BestState(
-        version=read_best(job).version + 1,
-        config=candidate,
-        performance=measured,
-        estimated=False,
-        updated_by=proposer,
-        updated_at=job.clock.now(),
-    )
-    job.backend.write_atomic(BEST_FILE, serialize_best(state))
-    job.backend.append_line(CHANGES_FILE, commit_line(state.version, proposal))
-    return state
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,8 @@ from .optimizer import (
 )
 
 EFFICIENCY_TOLERANCE = 1e-9
+# Share of one evaluation between two mid-evaluation stop checks.
+CHECKPOINT_FRACTION = 0.1
 
 _KIND_RANK = {"io": 0, "eval": 1, "sleep": 2, "spawn": 3}
 
@@ -275,7 +277,7 @@ class ClockedObjective:
         inner: Objective,
         clock,
         duration: float,
-        checkpoint_fraction: float = 0.1,
+        checkpoint_fraction: float = CHECKPOINT_FRACTION,
     ):
         self._inner = inner
         self._clock = clock
@@ -327,7 +329,6 @@ class SimConfig:
     seed: int = 0
     horizon: float = 1e9
     stop: StopCondition = StopCondition(max_total_evaluations=1000)
-    checkpoint_fraction: float = 0.1
 
     def __post_init__(self):
         if self.t_eval <= 0:
@@ -353,11 +354,6 @@ class WorkerStats:
     id: str
     evaluations: int
     commits: int
-    rejects_not_better: int
-    rejects_conflict: int
-    rejects_stale: int
-    aborted: int
-    loops: int
     kills: int
     quiesce_time: float | None
 
@@ -461,10 +457,7 @@ def run_sim(
     for times in kills.values():
         times.sort()
     stats: dict[str, dict] = {
-        w.id: {
-            "evaluations": 0, "commits": 0, "not_better": 0, "conflict": 0,
-            "stale": 0, "aborted": 0, "loops": 0, "kills": 0, "quiesce": None,
-        }
+        w.id: {"evaluations": 0, "commits": 0, "aborted": 0, "kills": 0, "quiesce": None}
         for w in fleet
     }
 
@@ -488,18 +481,9 @@ def _worker_body(w, kernel, store, setup, sim, records, events, kill_times, stat
             backend=TimedBackend(store, kernel, w.id, sim.t_io), clock=clock, job_id=setup.job_id
         )
         duration = sim.t_eval * setup.objective.cost_hint / w.speed_factor
-        objective = ClockedObjective(setup.objective, clock, duration, sim.checkpoint_fraction)
+        objective = ClockedObjective(setup.objective, clock, duration)
         rng = random.Random(f"{sim.seed}:{w.id}")
         my = stats[w.id]
-
-        def absorb(report):
-            my["evaluations"] += report.evaluations
-            my["commits"] += report.commits
-            my["not_better"] += report.rejects_by_kind["not_better"]
-            my["conflict"] += report.rejects_by_kind["conflict"]
-            my["stale"] += report.rejects_by_kind["stale"]
-            my["aborted"] += report.aborted
-            my["loops"] += 1
 
         for win_start, win_end in w.availability:
             if kernel.now < win_start:
@@ -517,7 +501,9 @@ def _worker_body(w, kernel, store, setup, sim, records, events, kill_times, stat
                     job, w.id, objective, setup.mode, sim.stop,
                     cancelled, rng=rng, observer=records.append,
                 )
-                absorb(report)
+                my["evaluations"] += report.evaluations
+                my["commits"] += report.commits
+                my["aborted"] += report.aborted
                 if report.exit_reason in ("stop_condition", "stagnation"):
                     events.note_stop(kernel.now)
                     my["quiesce"] = kernel.now
@@ -593,11 +579,6 @@ def _build_report(fleet, setup, sim, kernel, store, records, events, stats) -> S
             id=w.id,
             evaluations=stats[w.id]["evaluations"],
             commits=stats[w.id]["commits"],
-            rejects_not_better=stats[w.id]["not_better"],
-            rejects_conflict=stats[w.id]["conflict"],
-            rejects_stale=stats[w.id]["stale"],
-            aborted=stats[w.id]["aborted"],
-            loops=stats[w.id]["loops"],
             kills=stats[w.id]["kills"],
             quiesce_time=stats[w.id]["quiesce"],
         )
@@ -654,79 +635,6 @@ def default_setup(
         init_config="random",
         init_seed=init_seed,
     )
-
-
-@dataclass(frozen=True)
-class InterruptionReport:
-    baseline: SpeedupReport
-    interrupted: SpeedupReport
-    versions_gapless: bool
-    commits_after_kill_latency: int
-    survivor_rate_baseline: float
-    survivor_rate_interrupted: float
-
-
-def interruption_test(
-    fleet: Sequence[SimWorker],
-    kill_schedule: Sequence[tuple[str, float]],
-    sim: SimConfig,
-    setup: JobSetup | None = None,
-) -> InterruptionReport:
-    """Compare a run against the same run with injected user-activity kills.
-
-    Checks that the best-record version sequence stays gapless, that no
-    worker commits after a kill once the cancellation latency has passed,
-    and reports the surviving workers' commit rates for comparison.
-    """
-    setup = setup or default_setup()
-    baseline = run_sim(fleet, setup, sim)
-    interrupted = run_sim(fleet, setup, sim, kill_schedule=kill_schedule)
-
-    versions = sorted(
-        rec.committed_version
-        for rec in interrupted.records
-        if rec.outcome is Outcome.COMMITTED
-    )
-    gapless = versions == list(range(1, interrupted.final_version + 1))
-
-    # After a kill, the worker must stay quiet until its next poll rejoin.
-    # Cancellation itself may lag by one checkpoint interval plus a little
-    # coordination time for an already-evaluated proposal racing its merge.
-    killed_ids = {wid for wid, _ in kill_schedule}
-    slowest = min(w.speed_factor for w in fleet)
-    grace = sim.t_eval / slowest * sim.checkpoint_fraction + 16 * sim.t_io
-    late = 0
-    by_worker: dict[str, list[float]] = {}
-    for wid, at in kill_schedule:
-        by_worker.setdefault(wid, []).append(at)
-    for rec in interrupted.records:
-        if rec.outcome is not Outcome.COMMITTED:
-            continue
-        for at in by_worker.get(rec.worker, []):
-            rejoin = at + _poll_of(fleet, rec.worker)
-            if at + grace < rec.time <= rejoin:
-                late += 1
-
-    def survivor_rate(report: SpeedupReport) -> float:
-        evals = sum(s.evaluations for s in report.worker_stats if s.id not in killed_ids)
-        comm = sum(s.commits for s in report.worker_stats if s.id not in killed_ids)
-        return comm / evals if evals else 0.0
-
-    return InterruptionReport(
-        baseline=baseline,
-        interrupted=interrupted,
-        versions_gapless=gapless,
-        commits_after_kill_latency=late,
-        survivor_rate_baseline=survivor_rate(baseline),
-        survivor_rate_interrupted=survivor_rate(interrupted),
-    )
-
-
-def _poll_of(fleet, wid: str) -> float:
-    for w in fleet:
-        if w.id == wid:
-            return w.poll_interval
-    raise ValueError(wid)
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +695,6 @@ def parse_scenario(text: str) -> Scenario:
         seed=int(values.get("seed", 0)),
         horizon=float(values.get("horizon", 1e9)),
         stop=StopCondition.from_manifest(values),
-        checkpoint_fraction=float(values.get("checkpoint_fraction", 0.1)),
     )
     clear_at = float(values["clear_signal_at"]) if "clear_signal_at" in values else None
     return Scenario(

@@ -197,7 +197,8 @@ def run_daemon(
     cancelling it the moment the activity probe reports the user is back.
 
     The objective and stop condition default to whatever the job manifest
-    describes; tests may inject both.
+    describes; tests may inject both.  A loop that fails with a protocol
+    error, a malformed manifest included, is logged and skipped.
     """
     objective_for = objective_for or (lambda job: objective_from_manifest(read_manifest(job)))
     stop_for = stop_for or (lambda job: StopCondition.from_manifest(read_manifest(job)))

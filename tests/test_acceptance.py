@@ -23,17 +23,17 @@ from idleclimb.coordination import (
     serialize_best,
     signal_set,
 )
-from idleclimb.objective import PhaseMaskObjective, neighbors, spectrum
+from idleclimb.objective import PhaseMaskObjective, neighbors
 from idleclimb.optimizer import (
     OptimizerMode,
     Outcome,
     StopCondition,
     evaluate_and_merge,
     initialize,
-    naive_replace,
     work_loop,
 )
 from idleclimb.simharness import (
+    CHECKPOINT_FRACTION,
     ClockedObjective,
     JobSetup,
     SimConfig,
@@ -45,6 +45,7 @@ from idleclimb.simharness import (
 from idleclimb.worker import SkipReason, TraceProbe, WorkerConfig, run_daemon
 
 from conftest import CrashInjected, CrashInjectionBackend
+from support import naive_replace, spectrum
 
 N8_L2_K1_OPTIMUM = 0.4267766952966369  # exhaustive-enumeration constant
 
@@ -342,7 +343,7 @@ def test_09_stop_latency():
     sim = SimConfig(t_eval=1.0, t_io=0.001, seed=4, stop=StopCondition())
     report = run_sim(homogeneous_fleet(10), default_setup(init_seed=4), sim,
                      clear_signal_at=7.3)
-    interval = sim.t_eval * sim.checkpoint_fraction
+    interval = sim.t_eval * CHECKPOINT_FRACTION
     slack = 20 * sim.t_io  # a handful of directory operations on the way out
     quiesce_ok = all(
         s.quiesce_time is not None

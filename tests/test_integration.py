@@ -1,5 +1,6 @@
 """End to end over a real directory: master CLI, two daemon processes."""
 
+import os
 import select
 import signal
 import subprocess
@@ -8,6 +9,8 @@ import time
 
 from idleclimb import master
 from idleclimb.coordination import JobDirectory, read_best, read_fleet_tally
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def wait_until(predicate, deadline=30.0, poll=0.1):
@@ -27,6 +30,9 @@ def test_two_daemons_drive_a_job_to_its_stop_condition(tmp_path, capsys):
     assert master.main(["start", str(jobdir)]) == 0
     capsys.readouterr()
 
+    # The daemons run the same sources as this test, installed or not.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     daemons = []
     try:
         for i in range(2):
@@ -43,7 +49,7 @@ def test_two_daemons_drive_a_job_to_its_stop_condition(tmp_path, capsys):
             daemons.append(subprocess.Popen(
                 [sys.executable, "-m", "idleclimb.cli", "worker", "run",
                  "--config", str(conf)],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
             ))
         # A daemon prints its ready line once SIGTERM ends it cleanly; one
         # signalled before that (still importing) would die with -15.

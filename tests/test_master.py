@@ -59,6 +59,13 @@ class TestInit:
         assert a["config"] == b["config"]
         assert a["performance"] == b["performance"]
 
+    def test_unreachable_parent_exits_4(self, tmp_path, capsys):
+        (tmp_path / "a_regular_file").write_text("")
+        code, values, err = run(capsys, "init", str(tmp_path / "a_regular_file" / "job"))
+        assert code == 4
+        assert not values
+        assert err.startswith("error=") and len(err.splitlines()) == 1
+
     def test_invalid_parameters_exit_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "init", str(tmp_path / "job"), "--levels", "1")
         assert code == 2
@@ -188,6 +195,17 @@ class TestReport:
         code, _, err = run(capsys, "report", jobdir)
         assert code == 3
         assert "still running" in err
+
+    def test_unknown_objective_exits_4(self, tmp_path, capsys):
+        jobdir = tmp_path / "job"
+        run(capsys, "init", str(jobdir))
+        manifest = jobdir / "manifest.dat"
+        manifest.write_text(manifest.read_text().replace("objective=phase_mask", "objective=nope"))
+        code, values, err = run(capsys, "report", str(jobdir))
+        assert code == 4
+        assert not values
+        assert err.startswith("error=") and len(err.splitlines()) == 1
+        assert "unknown objective" in err
 
     def test_report_never_mutates_best(self, tmp_path, capsys):
         jobdir = str(tmp_path / "job")

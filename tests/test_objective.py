@@ -12,17 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idleclimb.coordination import FormatError
 from idleclimb.objective import (
-    BRUTE_FORCE_LIMIT,
     EvaluationAborted,
     PhaseMaskObjective,
-    brute_force_optimum,
     efficiency,
     from_manifest,
     neighbors,
-    spectrum,
     validate_config,
 )
+from support import BRUTE_FORCE_LIMIT, brute_force_optimum, spectrum
 
 # Computed by exhaustive enumeration with the cmath oracle below.
 N8_L2_K1_OPTIMUM_CONFIG = (0, 0, 0, 0, 1, 1, 1, 1)
@@ -217,6 +216,16 @@ class TestManifest:
         with pytest.raises(ValueError):
             from_manifest({"objective": "phase_mask", "n": "4", "levels": "1",
                            "target_order": "0"})
+
+    @pytest.mark.parametrize("params", [
+        {"objective": "nope"},
+        {"objective": "phase_mask", "n": "eight", "levels": "2", "target_order": "0"},
+        {"objective": "phase_mask", "n": "4", "levels": "1", "target_order": "0"},
+        {"objective": "phase_mask", "n": "4"},
+    ])
+    def test_bad_manifest_is_a_format_error(self, params):
+        with pytest.raises(FormatError):
+            from_manifest(params)
 
 
 def test_validate_config_bounds():

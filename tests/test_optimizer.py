@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CountingBackend
+from support import brute_force_optimum, naive_replace
 from idleclimb.coordination import (
     AlreadyInitializedError,
     BEST_FILE,
+    FormatError,
     FsBackend,
     JobDirectory,
     MemBackend,
@@ -24,7 +26,6 @@ from idleclimb.clock import VirtualClock
 from idleclimb.objective import (
     EvaluationAborted,
     PhaseMaskObjective,
-    brute_force_optimum,
     neighbors,
 )
 from idleclimb.optimizer import (
@@ -36,7 +37,6 @@ from idleclimb.optimizer import (
     check_stop_during_evaluation,
     evaluate_and_merge,
     initialize,
-    naive_replace,
     propose,
     work_loop,
 )
@@ -242,6 +242,12 @@ class TestEvaluateAndMerge:
                                OptimizerMode.REPLACE_IF_BETTER,
                                cancel=cancel_after_evaluation)
         assert read_best(job).version == 0
+
+
+@pytest.mark.parametrize("key", ["stop_max_evals", "stop_target", "stop_stagnation"])
+def test_malformed_stop_value_is_a_format_error(key):
+    with pytest.raises(FormatError, match=key):
+        StopCondition.from_manifest({key: "soon"})
 
 
 class TestCheckStop:

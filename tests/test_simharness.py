@@ -1,5 +1,8 @@
 """Deterministic fleet simulator: determinism, accounting, speedup bounds."""
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,15 +11,16 @@ from idleclimb.clock import VirtualClock
 from idleclimb.coordination import FsBackend, JobDirectory, MemBackend, read_fleet_tally
 from idleclimb.optimizer import TALLY_SYNC_INTERVAL, OptimizerMode, Outcome, StopCondition
 from idleclimb.simharness import (
+    CHECKPOINT_FRACTION,
     EFFICIENCY_TOLERANCE,
     JobSetup,
     Scenario,
     SimConfig,
     SimWorker,
+    SpeedupReport,
     default_setup,
     homogeneous_fleet,
     ideal_speedup,
-    interruption_test,
     parse_scenario,
     run_sim,
     sweep_fleet_size,
@@ -159,7 +163,7 @@ class TestStopAndQuiesce:
         report = run_sim(homogeneous_fleet(10), default_setup(init_seed=4), sim,
                          clear_signal_at=7.3)
         assert report.clear_time is not None
-        interval = 1.0 * sim.checkpoint_fraction
+        interval = 1.0 * CHECKPOINT_FRACTION
         slack = 20 * sim.t_io
         for stats in report.worker_stats:
             assert stats.quiesce_time is not None
@@ -213,6 +217,68 @@ class TestSerialModeEquivalence:
         assert trajectories[OptimizerMode.REPLACE_IF_BETTER] == trajectories[
             OptimizerMode.CHANGE_MERGE
         ]
+
+
+@dataclass(frozen=True)
+class InterruptionReport:
+    baseline: SpeedupReport
+    interrupted: SpeedupReport
+    versions_gapless: bool
+    commits_after_kill_latency: int
+    survivor_rate_baseline: float
+    survivor_rate_interrupted: float
+
+
+def interruption_test(
+    fleet: Sequence[SimWorker],
+    kill_schedule: Sequence[tuple[str, float]],
+    sim: SimConfig,
+    setup: JobSetup,
+) -> InterruptionReport:
+    """Compare a run against the same run with injected user-activity kills.
+
+    Checks that the best-record version sequence stays gapless, that no
+    worker commits after a kill once the cancellation latency has passed,
+    and reports the surviving workers' commit rates for comparison.
+    """
+    baseline = run_sim(fleet, setup, sim)
+    interrupted = run_sim(fleet, setup, sim, kill_schedule=kill_schedule)
+
+    versions = sorted(
+        rec.committed_version
+        for rec in interrupted.records
+        if rec.outcome is Outcome.COMMITTED
+    )
+    gapless = versions == list(range(1, interrupted.final_version + 1))
+
+    # After a kill, the worker must stay quiet until its next poll rejoin.
+    # Cancellation itself may lag by one checkpoint interval plus a little
+    # coordination time for an already-evaluated proposal racing its merge.
+    killed_ids = {wid for wid, _ in kill_schedule}
+    slowest = min(w.speed_factor for w in fleet)
+    grace = sim.t_eval / slowest * CHECKPOINT_FRACTION + 16 * sim.t_io
+    poll = {w.id: w.poll_interval for w in fleet}
+    late = sum(
+        1
+        for rec in interrupted.records
+        if rec.outcome is Outcome.COMMITTED
+        for wid, at in kill_schedule
+        if wid == rec.worker and at + grace < rec.time <= at + poll[wid]
+    )
+
+    def survivor_rate(report: SpeedupReport) -> float:
+        evals = sum(s.evaluations for s in report.worker_stats if s.id not in killed_ids)
+        comm = sum(s.commits for s in report.worker_stats if s.id not in killed_ids)
+        return comm / evals if evals else 0.0
+
+    return InterruptionReport(
+        baseline=baseline,
+        interrupted=interrupted,
+        versions_gapless=gapless,
+        commits_after_kill_latency=late,
+        survivor_rate_baseline=survivor_rate(baseline),
+        survivor_rate_interrupted=survivor_rate(interrupted),
+    )
 
 
 class TestInterruption:

@@ -13,6 +13,7 @@ from idleclimb.coordination import (
     FsBackend,
     read_best,
     signal_set,
+    write_manifest,
 )
 from idleclimb.objective import PhaseMaskObjective
 from idleclimb.optimizer import OptimizerMode, Outcome, StopCondition, initialize
@@ -231,6 +232,17 @@ class TestDaemonTraces:
         from idleclimb.coordination import signal_exists
 
         assert not signal_exists(job)
+
+    def test_bad_manifest_skips_the_job(self, caplog):
+        clock = VirtualClock(TWO_PM)
+        job = make_job(clock)
+        write_manifest(job, {"objective": "nope"})
+        with caplog.at_level("WARNING"):
+            report = run_daemon(config_for(job), TraceProbe(idle_since=NOON), clock,
+                                cancel=lambda: clock.now() >= TWO_PM + 1800.0)
+        assert report.starts == 3 and report.loop_reports == []
+        assert read_best(job).version == 0
+        assert "unknown objective" in caplog.text
 
 
 class TestConfigParsing:
