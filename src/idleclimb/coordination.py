@@ -25,7 +25,11 @@ through files in it:
     its tally if it changed, then reads the others') at its first loop top,
     after a commit and at most once per ``optimizer.TALLY_SYNC_INTERVAL`` of
     the job's clock, and writes its tally once more when its loop exits.
-    Advisory: nothing reads it to decide correctness.
+    A tally line is exactly ``#tally <worker> evals=N commits=N
+    not_better=N conflict=N stale=N`` with single spaces, keys in this
+    order and non-negative decimal counts; any other line, torn or
+    malformed, is ignored.  Advisory: nothing reads it to decide
+    correctness.
 
 Ordinary file shares offer no compare-and-swap, so updates go through the
 lock plus a write-to-temp-then-atomic-rename discipline, and every record
@@ -47,6 +51,7 @@ import itertools
 import logging
 import math
 import os
+import re
 import threading
 from dataclasses import dataclass, replace
 from typing import Mapping, Protocol, Union
@@ -658,21 +663,13 @@ def append_tally(job: JobDirectory, worker_id: str, tally: WorkerTally) -> None:
     job.backend.append_line(CHANGES_FILE, tally.line(worker_id))
 
 
-def _parse_tally_line(line: str) -> tuple[str, WorkerTally] | None:
-    parts = line.split()
-    if len(parts) != 7 or parts[0] != TALLY_PREFIX:
-        return None
-    try:
-        values = dict(p.split("=", 1) for p in parts[2:])
-        return parts[1], WorkerTally(
-            evaluations=int(values["evals"]),
-            commits=int(values["commits"]),
-            rejects_not_better=int(values["not_better"]),
-            rejects_conflict=int(values["conflict"]),
-            rejects_stale=int(values["stale"]),
-        )
-    except (KeyError, ValueError):
-        return None
+# Exactly the line WorkerTally.line writes; anything else (a torn line, a
+# missing or reordered key, a negative count) is not a tally.
+_TALLY_LINE = re.compile(
+    rf"^{re.escape(TALLY_PREFIX)} (\S+) evals=([0-9]+) commits=([0-9]+) not_better=([0-9]+)"
+    r" conflict=([0-9]+) stale=([0-9]+)$",
+    re.MULTILINE,
+)
 
 
 class TallyReader:
@@ -680,6 +677,7 @@ class TallyReader:
 
     Tally counters are cumulative per worker, so only each worker's latest
     line matters; reading just the file tail keeps the per-check cost flat.
+    An incomplete final line waits in ``_pending`` for the next refresh.
     """
 
     def __init__(self, job: JobDirectory):
@@ -693,12 +691,13 @@ class TallyReader:
         if not text:
             return
         text = self._pending + text
-        lines = text.split("\n")
-        self._pending = lines.pop()  # possibly incomplete final line
-        for line in lines:
-            parsed = _parse_tally_line(line)
-            if parsed is not None:
-                self.per_worker[parsed[0]] = parsed[1]
+        cut = text.rfind("\n") + 1
+        self._pending = text[cut:]
+        latest = {m[0]: m for m in _TALLY_LINE.findall(text, 0, cut)}
+        for worker_id, m in latest.items():
+            self.per_worker[worker_id] = WorkerTally(
+                int(m[1]), int(m[2]), int(m[3]), int(m[4]), int(m[5])
+            )
 
     def evaluations_excluding(self, worker_id: str) -> int:
         """The other workers' evaluations, as of the last refresh."""

@@ -10,10 +10,14 @@ real life.
 
 Concurrency is event interleaving only.  Every worker runs on its own
 thread, but exactly one thread is ever runnable: a thread that needs virtual
-time to pass parks itself in the event queue and hands the baton to whoever
-is due next.  Ties in event time break by (time, worker id, event kind), so
-a run is a pure function of (fleet, job setup, sim config, seed) and reports
-compare bit-for-bit across runs and across directory backends.
+time to pass parks itself in the event queue and hands the baton directly to
+whoever is due next, without a relay through the main thread.  All task
+threads are pinned to one CPU of the caller's allowed set: only one of them
+can run at a time anyway, and a baton passed to a thread asleep on another
+core costs a cross-core wake-up, which dominated the simulator's wall time.
+Ties in event time break by (time, worker id, event kind), so a run is a
+pure function of (fleet, job setup, sim config, seed) and reports compare
+bit-for-bit across runs and across directory backends.
 
 Speedup accounting: ``speedup`` is the virtual time the fastest fleet member
 would need to perform the run's completed evaluations back to back, divided
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 import random
 import sys
 import threading
@@ -82,13 +87,29 @@ class _Task:
         self.error: BaseException | None = None
 
 
+def _task_cpu() -> int | None:
+    """The one CPU every simulator task thread runs on, or None where CPU
+    affinity is unavailable.  Concurrent simulator processes pick different
+    CPUs of the caller's allowed set."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        allowed = sorted(os.sched_getaffinity(0))
+    except OSError:
+        return None
+    return allowed[os.getpid() % len(allowed)]
+
+
 class VirtualKernel:
     """Sequential-thread discrete-event scheduler.
 
-    Tasks call :meth:`advance` to consume virtual time; the kernel resumes
-    whichever parked task owns the earliest event.  Exactly one thread runs
-    at any instant, handing control over through per-task baton locks, which
-    is what makes runs deterministic.
+    Tasks call :meth:`advance` to consume virtual time.  A task that must
+    park pushes its event and hands the baton straight to the task owning
+    the earliest event (:meth:`_dispatch`); the main thread only starts the
+    run, waits for its end and unwinds.  Exactly one thread runs at any
+    instant, which is what makes runs deterministic, and all task threads
+    are pinned to one CPU, so a handoff never wakes a thread on another
+    core (with the GIL, that cross-core wake dominated a handoff's cost).
     """
 
     def __init__(self, horizon: float = math.inf):
@@ -100,6 +121,7 @@ class VirtualKernel:
         self._main_baton = threading.Lock()
         self._main_baton.acquire()
         self._stopping = False
+        self._cpu = _task_cpu()
 
     def spawn(self, name: str, fn: Callable[[], None]) -> None:
         if name in self._tasks:
@@ -109,6 +131,11 @@ class VirtualKernel:
         self._tasks[name] = task
 
         def body():
+            if self._cpu is not None:
+                try:
+                    os.sched_setaffinity(0, {self._cpu})
+                except OSError:
+                    pass
             task.baton.acquire()
             try:
                 if not self._stopping:
@@ -119,7 +146,7 @@ class VirtualKernel:
                 task.error = exc
             finally:
                 task.done = True
-                self._main_baton.release()
+                self._dispatch()
 
         task.thread = threading.Thread(target=body, name=f"sim-{name}", daemon=True)
         task.thread.start()
@@ -147,24 +174,30 @@ class VirtualKernel:
                 return
         task = self._tasks[name]
         self._push(at, name, kind)
-        self._main_baton.release()
+        self._dispatch()
         task.baton.acquire()
         if self._stopping:
             raise SimHorizon
 
+    def _dispatch(self) -> None:
+        """Hand the baton to the task owning the earliest due event, or to
+        the main thread when none is due before the horizon (or the run is
+        unwinding)."""
+        heap = self._heap
+        while heap and not self._stopping and heap[0][0] <= self.horizon:
+            at, name, _rank, _seq = heapq.heappop(heap)
+            task = self._tasks[name]
+            if not task.done:
+                self.now = at
+                self._grant(task)
+                return
+        self._main_baton.release()
+
     def run(self) -> None:
         """Drive events until all tasks finish or the horizon passes."""
         try:
-            while self._heap:
-                at, name, _rank, _seq = heapq.heappop(self._heap)
-                task = self._tasks[name]
-                if task.done:
-                    continue
-                if at > self.horizon:
-                    self._push(at, name, "io")  # keep it queued for unwinding
-                    break
-                self.now = at
-                self._grant(task)
+            self._dispatch()
+            self._main_baton.acquire()
         finally:
             self._unwind()
         for task in self._tasks.values():
@@ -173,13 +206,13 @@ class VirtualKernel:
 
     def _grant(self, task: _Task) -> None:
         task.baton.release()
-        self._main_baton.acquire()
 
     def _unwind(self) -> None:
         self._stopping = True
         for task in self._tasks.values():
             if not task.done:
                 self._grant(task)
+                self._main_baton.acquire()
         for task in self._tasks.values():
             assert task.thread is not None
             task.thread.join(timeout=10.0)

@@ -178,6 +178,7 @@ class DaemonReport:
     starts: int = 0
     kills: int = 0
     completed_loops: int = 0
+    failed_loops: int = 0
     decisions: list[tuple[float, TickDecision]] = field(default_factory=list)
     loop_reports: list[LoopReport] = field(default_factory=list)
 
@@ -255,6 +256,7 @@ def _run_one_loop(config, probe, clock, cancel, job, report,
         )
     except CoordinationError as exc:
         log.warning("%s: loop on %s failed: %s", config.worker_id, job.path, exc)
+        report.failed_loops += 1
         return
     report.loop_reports.append(loop_report)
     if loop_report.exit_reason == "cancelled" and killed:
@@ -352,7 +354,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     report = run_daemon(config, SystemIdleProbe(), clock, stop_event.is_set)
     print(
         f"ticks={report.ticks} starts={report.starts} kills={report.kills} "
-        f"completed_loops={report.completed_loops}"
+        f"completed_loops={report.completed_loops} failed_loops={report.failed_loops}"
     )
     return 0
 

@@ -13,6 +13,7 @@ from conftest import CrashInjected, CrashInjectionBackend
 from idleclimb.clock import VirtualClock, WallClock
 from idleclimb.coordination import (
     BEST_FILE,
+    CHANGES_FILE,
     LOCK_FILE,
     MANIFEST_FILE,
     AlreadyInitializedError,
@@ -26,6 +27,7 @@ from idleclimb.coordination import (
     MemBackend,
     NotInitializedError,
     ShareUnreachableError,
+    TallyReader,
     VersionConflict,
     WorkerTally,
     _parse_lock,
@@ -468,6 +470,89 @@ CODEC_READERS = {
     "lock": (_parse_lock, None, "acquired_at=1\nstale_after=30\n", "owner",
              lambda r: r.owner),
 }
+
+
+class _ChunkedLog(MemBackend):
+    """A directory whose changes.log is visible only up to ``visible``
+    characters, so a reader sees the appended lines cut at any offset."""
+
+    def __init__(self):
+        super().__init__()
+        self.visible = 0
+
+    def read_tail(self, name, offset):
+        data = self.read_text(name)[: self.visible]
+        return data[offset:], max(offset, len(data))
+
+
+worker_ids = st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6
+).filter(lambda s: not any(c.isspace() for c in s))
+tallies = st.builds(WorkerTally, *[st.integers(0, 10**12)] * 5)
+
+
+class TestTallyReader:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        writes=st.lists(st.one_of(st.tuples(worker_ids, tallies), st.just(None)),
+                        min_size=1, max_size=25),
+        cuts=st.lists(st.integers(0, 10**6), max_size=12),
+    )
+    def test_chunked_reads_give_each_workers_last_tally(self, writes, cuts):
+        backend = _ChunkedLog()
+        job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="t")
+        expected = {}
+        for write in writes:
+            if write is None:
+                backend.append_line(CHANGES_FILE, "3 1 2 0.5 w1")  # a commit line
+            else:
+                append_tally(job, *write)
+                expected[write[0]] = write[1]
+        total = len(backend.read_text(CHANGES_FILE))
+        reader = TallyReader(job)
+        for cut in sorted(c % (total + 1) for c in cuts) + [total]:
+            backend.visible = cut
+            reader.refresh()
+        assert reader.per_worker == expected
+
+    def test_a_torn_final_line_waits_for_the_next_refresh(self):
+        backend = _ChunkedLog()
+        job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="t")
+        append_tally(job, "w1", WorkerTally(evaluations=4))
+        append_tally(job, "w2", WorkerTally(evaluations=7, commits=2))
+        total = len(backend.read_text(CHANGES_FILE))
+        reader = TallyReader(job)
+        backend.visible = total - 3
+        reader.refresh()
+        assert reader.per_worker == {"w1": WorkerTally(evaluations=4)}
+        reader.refresh()
+        assert "w2" not in reader.per_worker
+        backend.visible = total
+        reader.refresh()
+        assert reader.per_worker["w2"] == WorkerTally(evaluations=7, commits=2)
+
+    @pytest.mark.parametrize("line", [
+        "#tally w1 evals=9 commits=0 not_better=0 conflict=0",
+        "#tally w1 evals=-3 commits=0 not_better=0 conflict=0 stale=0",
+        "#tally w1 evals=9 commits=0 not_better=0 conflict=0 stale=0 extra=1",
+        "#tally w1 commits=0 evals=9 not_better=0 conflict=0 stale=0",
+        "#tally w1 evals=9 commits=0 not_better=0 conflict=0 stale=x",
+    ])
+    def test_a_malformed_line_neither_parses_nor_overrides(self, mem_job, line):
+        job = mem_job()
+        append_tally(job, "w1", WorkerTally(evaluations=5, commits=1))
+        job.backend.append_line(CHANGES_FILE, line)
+        job.backend.append_line(CHANGES_FILE, line.replace("w1", "w2"))
+        assert read_fleet_tally(job) == {"w1": WorkerTally(evaluations=5, commits=1)}
+
+    def test_commit_lines_are_skipped(self, mem_job):
+        job = mem_job()
+        publish_initial(job, state(performance=1.0))
+        commit_update(job, 0, state(version=1, performance=2.0), change=proposal())
+        append_tally(job, "w", WorkerTally(evaluations=2, commits=1))
+        commit_update(job, 1, state(version=2, performance=3.0), change=proposal(base_version=1))
+        assert len(read_commit_log(job)) == 2
+        assert read_fleet_tally(job) == {"w": WorkerTally(evaluations=2, commits=1)}
 
 
 @pytest.mark.parametrize("reader", sorted(CODEC_READERS))

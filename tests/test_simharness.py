@@ -1,5 +1,9 @@
 """Deterministic fleet simulator: determinism, accounting, speedup bounds."""
 
+import hashlib
+import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -8,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idleclimb.clock import VirtualClock
-from idleclimb.coordination import FsBackend, JobDirectory, MemBackend, read_fleet_tally
+from idleclimb.coordination import (
+    BEST_FILE,
+    CHANGES_FILE,
+    FsBackend,
+    JobDirectory,
+    MemBackend,
+    read_fleet_tally,
+)
 from idleclimb.optimizer import TALLY_SYNC_INTERVAL, OptimizerMode, Outcome, StopCondition
 from idleclimb.simharness import (
     CHECKPOINT_FRACTION,
@@ -18,6 +29,7 @@ from idleclimb.simharness import (
     SimConfig,
     SimWorker,
     SpeedupReport,
+    VirtualKernel,
     default_setup,
     homogeneous_fleet,
     ideal_speedup,
@@ -419,3 +431,263 @@ kill=day@42.5
         bad = tmp_path / "bad.txt"
         bad.write_text("nope\n")
         assert simharness.main(["run", "--scenario", str(bad)]) == 2
+
+
+class ObjectiveCrashed(Exception):
+    pass
+
+
+class FailsOnCall:
+    """An objective whose k-th evaluation raises (never, if k is None)."""
+
+    def __init__(self, inner, k=None):
+        self._inner = inner
+        self._k = k
+        self.calls = 0
+        self.length = inner.length
+        self.level_count = inner.level_count
+        self.cost_hint = inner.cost_hint
+
+    def evaluate(self, config, checkpoint=None):
+        self.calls += 1
+        if self.calls == self._k:
+            raise ObjectiveCrashed(f"evaluation {self.calls}")
+        return self._inner.evaluate(config)
+
+
+class AffinityProbe(FailsOnCall):
+    """Records the CPU set of each thread that evaluates."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.seen = {}
+
+    def evaluate(self, config, checkpoint=None):
+        self.seen[threading.current_thread().name] = os.sched_getaffinity(0)
+        return super().evaluate(config)
+
+
+def sim_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("sim-")]
+
+
+def failing_run(k=25):
+    base = default_setup(init_seed=3)
+    setup = JobSetup(objective=FailsOnCall(base.objective, k), mode=base.mode,
+                     init_seed=3)
+    return run_sim(homogeneous_fleet(5), setup, small_sim(seed=3, evals=200))
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                                    reason="no CPU affinity on this platform")
+
+
+class TestHandoff:
+    def test_a_failing_objective_fails_the_run(self):
+        with pytest.raises(RuntimeError, match="simulated task w0") as info:
+            failing_run()
+        assert isinstance(info.value.__cause__, ObjectiveCrashed)
+
+    @pytest.mark.parametrize("horizon", [1e9, 7.5, None])
+    def test_no_task_thread_outlives_its_run(self, horizon):
+        if horizon is None:
+            with pytest.raises(RuntimeError):
+                failing_run()
+        else:
+            sim = SimConfig(t_eval=1.0, t_io=0.001, seed=2, horizon=horizon,
+                            stop=StopCondition(max_total_evaluations=100))
+            report = run_sim(homogeneous_fleet(6), default_setup(init_seed=2), sim,
+                             clear_signal_at=30.0)
+            assert report.incomplete == (horizon < 30.0)
+        assert sim_threads() == []
+
+    @needs_affinity
+    def test_the_callers_cpu_affinity_is_untouched(self):
+        before = os.sched_getaffinity(0)
+        run_sim(homogeneous_fleet(4), default_setup(), small_sim(seed=1, evals=40))
+        run_sim(homogeneous_fleet(4), default_setup(),
+                SimConfig(t_eval=1.0, seed=1, horizon=3.0, stop=StopCondition()))
+        with pytest.raises(RuntimeError):
+            failing_run()
+        assert os.sched_getaffinity(0) == before
+
+    @needs_affinity
+    def test_every_task_thread_runs_on_one_cpu_of_the_callers_set(self):
+        allowed = os.sched_getaffinity(0)
+        base = default_setup(init_seed=4)
+        probe = AffinityProbe(base.objective)
+        setup = JobSetup(objective=probe, mode=base.mode, init_seed=4)
+        run_sim(homogeneous_fleet(4), setup, small_sim(seed=4, evals=40))
+        task_sets = {name: cpus for name, cpus in probe.seen.items()
+                     if name.startswith("sim-")}
+        assert len(task_sets) == 4
+        cpus = set().union(*task_sets.values())
+        assert len(cpus) == 1 and cpus <= allowed
+
+
+# ---------------------------------------------------------------------------
+# Exactness: every simulated event, every report field and every stored byte
+# is pinned, along with the number of baton grants.  Any change to how the
+# kernel hands control between tasks must leave all of these unchanged.
+
+MIXED_FLEET = (
+    SimWorker(id="a", speed_factor=1.0, poll_interval=0.5),
+    SimWorker(id="b", speed_factor=0.55, availability=((0.0, 6.5), (8.0, math.inf)),
+              poll_interval=1.5),
+    SimWorker(id="c", speed_factor=1.7, availability=((1.25, 11.0), (14.0, 40.0)),
+              poll_interval=0.75),
+)
+MIXED_KILLS = (("a", 2.2), ("c", 4.05), ("b", 9.0), ("a", 30.0))
+# At horizon 17.77 the operator's clear falls exactly on the horizon.
+
+
+def _exactness_run(case: str) -> tuple[str, int]:
+    """Run one named case; returns (sha256 digest, number of baton grants)."""
+    kind, *params = case.split("-")
+    kwargs = {}
+    if kind == "fleet":
+        mode, p, seed = OptimizerMode.parse(params[0]), int(params[1]), int(params[2])
+        fleet = homogeneous_fleet(p)
+        setup = default_setup(mode=mode, init_seed=seed)
+        sim = small_sim(seed=seed, evals=300)
+    elif kind == "mixed":
+        clear, horizon = params[0], float(params[1])
+        fleet = MIXED_FLEET
+        setup = default_setup(init_seed=11)
+        sim = SimConfig(t_eval=1.0, t_io=0.01, seed=11, horizon=horizon,
+                        stop=StopCondition(max_total_evaluations=90))
+        kwargs = {"kill_schedule": MIXED_KILLS,
+                  "clear_signal_at": 17.77 if clear == "clear" else None}
+    else:
+        assert kind == "stagnation"
+        fleet = homogeneous_fleet(3)
+        setup = default_setup(n=8, levels=2, target_order=1, init_seed=12)
+        sim = SimConfig(t_eval=1.0, t_io=0.001, seed=12,
+                        stop=StopCondition(max_total_evaluations=2000, stagnation_proposals=12))
+    grants = []
+    grant = VirtualKernel._grant
+
+    def counting_grant(self, task):
+        grants.append(task.name)
+        return grant(self, task)
+
+    backend = MemBackend("sim")
+    VirtualKernel._grant = counting_grant
+    try:
+        report = run_sim(fleet, setup, sim, backend=backend, **kwargs)
+    finally:
+        VirtualKernel._grant = grant
+    digest = hashlib.sha256()
+    for part in (
+        "\n".join(report.lines()),
+        repr(list(report.records)),
+        repr(report.worker_stats),
+        repr(report.clear_time),
+        backend.read_text(BEST_FILE),
+        backend.read_text(CHANGES_FILE),
+    ):
+        digest.update(part.encode("utf-8"))
+        digest.update(b"\0")
+    return digest.hexdigest(), len(grants)
+
+
+EXACTNESS_PINS = {
+    "fleet-change_merge-3-1": (
+        "697047cf87ed26508d8765f20607448f4ba52d22585654a6c39e05a796471453",
+        3074,
+    ),
+    "fleet-change_merge-3-2": (
+        "9268609b9a38edf096934658a4c43b03e8f6c84c998677943bbc9f73a3d1d0e7",
+        3055,
+    ),
+    "fleet-change_merge-10-1": (
+        "a06130e4ba4c9075b79aee476e55612e47de319fdcc60ac4de05790108676cfc",
+        4424,
+    ),
+    "fleet-change_merge-10-2": (
+        "98efc320d05defbb29186119434638aaebf3c8c350c34aa4343a6ffebe9cad43",
+        4425,
+    ),
+    "fleet-change_merge-50-1": (
+        "a3273a2023e598e833cfa23d61447066814ba5ae211621b543010c551521323c",
+        10207,
+    ),
+    "fleet-change_merge-50-2": (
+        "733ea8f3fe41ac8aecb35aec37781c6149b3db6a3d1209b2083e348ea91cc267",
+        8619,
+    ),
+    "fleet-replace_if_better-3-1": (
+        "25e341f4333fe1f2f59a263ad136b75292ac200edd5195b7a52396bd5ffdf4d6",
+        3120,
+    ),
+    "fleet-replace_if_better-3-2": (
+        "389a718299a6262323c3a35e0a73395dcad9075c27157b6569b7d2bcc829a236",
+        3055,
+    ),
+    "fleet-replace_if_better-10-1": (
+        "e8d14d00e25b8e72d95ad7ee70550c0df80f35da8aa18dc57ce9bf46d64f5963",
+        4166,
+    ),
+    "fleet-replace_if_better-10-2": (
+        "da7c64afc6a4a5cd63784583af71a43a147aecfbeb274162198e46a0f40de094",
+        4621,
+    ),
+    "fleet-replace_if_better-50-1": (
+        "6bb6e731c1ef9c7fed56737c1718a8a4641153a49bb6bcdf5b03dd41f3a8acf9",
+        10499,
+    ),
+    "fleet-replace_if_better-50-2": (
+        "0e2ac30a2a5f1ef068497ccefbc4aff5fe5c99e22667409ce9f661e24a46e28a",
+        8240,
+    ),
+    "mixed-clear-1e9": (
+        "6a14f2769c6a2692a944890a5bb7fbd24ec03d312164dec89db76ad5359d7394",
+        549,
+    ),
+    "mixed-clear-5.0": (
+        "98a6238dc0b9e1fbae3b11e0ae880d7b51c5c2cc516cd97b42b879d41db9153c",
+        164,
+    ),
+    "mixed-clear-12.3456": (
+        "adf6d541879c5bbe8ba6c63047d09b7a8af983e586fff77670d0af03aa6c642b",
+        373,
+    ),
+    "mixed-clear-30.0005": (
+        "6a14f2769c6a2692a944890a5bb7fbd24ec03d312164dec89db76ad5359d7394",
+        549,
+    ),
+    "mixed-clear-17.77": (
+        "ee4a8840b123826869a5e25ccc46b077c45597b6bd69bbbc22ac72c95db33956",
+        544,
+    ),
+    "mixed-none-17.77": (
+        "a34aafc426fdfa5422425f3a8714a6ec88024c6c8b4d7e028e5482a7c3e7ac89",
+        541,
+    ),
+    "mixed-none-1e9": (
+        "bcb781c24c8eb7def5844fa53db2c4bd6d4a6b12acdcd8d5c45797fd0e8b144a",
+        1294,
+    ),
+    "mixed-none-5.0": (
+        "98a6238dc0b9e1fbae3b11e0ae880d7b51c5c2cc516cd97b42b879d41db9153c",
+        162,
+    ),
+    "mixed-none-12.3456": (
+        "adf6d541879c5bbe8ba6c63047d09b7a8af983e586fff77670d0af03aa6c642b",
+        371,
+    ),
+    "mixed-none-30.0005": (
+        "b036f161527113143abe05b56e0b5d9b3e395264a1abdc5b6c9581f791bae1e2",
+        1010,
+    ),
+    "stagnation": (
+        "37891a11af4109e315d243417815b98561fb1aa633c24d1a514f7f181f6e7998",
+        814,
+    ),
+}
+
+
+class TestExactness:
+    @pytest.mark.parametrize("case", sorted(EXACTNESS_PINS))
+    def test_reports_stores_and_grants_are_pinned(self, case):
+        assert _exactness_run(case) == EXACTNESS_PINS[case]

@@ -241,6 +241,8 @@ class TestDaemonTraces:
             report = run_daemon(config_for(job), TraceProbe(idle_since=NOON), clock,
                                 cancel=lambda: clock.now() >= TWO_PM + 1800.0)
         assert report.starts == 3 and report.loop_reports == []
+        assert report.starts == report.completed_loops + report.kills + report.failed_loops
+        assert (report.completed_loops, report.kills, report.failed_loops) == (0, 0, 3)
         assert read_best(job).version == 0
         assert "unknown objective" in caplog.text
 
