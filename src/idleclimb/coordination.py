@@ -245,7 +245,9 @@ class MemBackend:
     def read_tail(self, name: str, offset: int) -> tuple[str, int]:
         with self._mutex:
             data = self._files.get(name, "")
-            return data[offset:], len(data)
+            # As on disk: an offset past the end (or a missing file) reads
+            # nothing and keeps the offset.
+            return data[offset:], max(offset, len(data))
 
     def write_atomic(self, name: str, data: str) -> None:
         with self._mutex:
@@ -260,7 +262,11 @@ class MemBackend:
 
     def append_line(self, name: str, line: str) -> None:
         with self._mutex:
-            self._files[name] = self._files.get(name, "") + line + "\n"
+            # Popped, the text has no other reference (unless a reader still
+            # holds it), so ``+=`` extends it in place instead of copying it.
+            text = self._files.pop(name, "")
+            text += line + "\n"
+            self._files[name] = text
 
     def remove(self, name: str) -> None:
         with self._mutex:
@@ -678,13 +684,21 @@ class TallyReader:
     Tally counters are cumulative per worker, so only each worker's latest
     line matters; reading just the file tail keeps the per-check cost flat.
     An incomplete final line waits in ``_pending`` for the next refresh.
+
+    The reader keeps each worker's latest matched fields as text and a
+    running sum of their ``evals``: a refresh converts only the ``evals`` of
+    the workers whose line changed, :meth:`evaluations_excluding` is one
+    subtraction, and :class:`WorkerTally` objects are built only when
+    :attr:`per_worker` is read.
     """
 
     def __init__(self, job: JobDirectory):
         self._job = job
         self._offset = 0
         self._pending = ""
-        self.per_worker: dict[str, WorkerTally] = {}
+        self._fields: dict[str, tuple[str, ...]] = {}
+        self._evals: dict[str, int] = {}
+        self._total = 0
 
     def refresh(self) -> None:
         text, self._offset = self._job.backend.read_tail(CHANGES_FILE, self._offset)
@@ -694,14 +708,24 @@ class TallyReader:
         cut = text.rfind("\n") + 1
         self._pending = text[cut:]
         latest = {m[0]: m for m in _TALLY_LINE.findall(text, 0, cut)}
+        self._fields.update(latest)
+        evals = self._evals
         for worker_id, m in latest.items():
-            self.per_worker[worker_id] = WorkerTally(
-                int(m[1]), int(m[2]), int(m[3]), int(m[4]), int(m[5])
-            )
+            count = int(m[1])
+            self._total += count - evals.get(worker_id, 0)
+            evals[worker_id] = count
+
+    @property
+    def per_worker(self) -> dict[str, WorkerTally]:
+        """Each worker's latest tally, as of the last refresh."""
+        return {
+            w: WorkerTally(int(m[1]), int(m[2]), int(m[3]), int(m[4]), int(m[5]))
+            for w, m in self._fields.items()
+        }
 
     def evaluations_excluding(self, worker_id: str) -> int:
         """The other workers' evaluations, as of the last refresh."""
-        return sum(t.evaluations for w, t in self.per_worker.items() if w != worker_id)
+        return self._total - self._evals.get(worker_id, 0)
 
 
 def read_fleet_tally(job: JobDirectory) -> dict[str, WorkerTally]:
@@ -712,19 +736,27 @@ def read_fleet_tally(job: JobDirectory) -> dict[str, WorkerTally]:
 
 
 def read_commit_log(job: JobDirectory) -> list[tuple[int, int, int, float, str]]:
-    """Parsed commit lines: (version, index, new_value, delta, proposer)."""
+    """Parsed commit lines: (version, index, new_value, delta, proposer).
+
+    Tally lines and lines of another field count are skipped; a five-field
+    line whose numbers do not parse raises :class:`FormatError`."""
     try:
         text = job.backend.read_text(CHANGES_FILE)
     except FileNotFoundError:
         return []
     out = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 5:
             continue
-        out.append((int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]), parts[4]))
+        try:
+            out.append((int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]), parts[4]))
+        except ValueError:
+            raise FormatError(
+                f"{job.path}: {CHANGES_FILE} line {number} is not a commit line: {line!r}"
+            ) from None
     return out
 
 

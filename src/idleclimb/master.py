@@ -81,9 +81,12 @@ def cmd_stop(args) -> int:
 
 
 def cmd_status(args) -> int:
+    # Everything is read before anything is printed, so a failure leaves
+    # stdout empty.
     job = coord.JobDirectory.open(args.dir)
     present = coord.signal_exists(job)
     state = coord.read_best(job)
+    commits = len(coord.read_commit_log(job))
     _print("job_id", job.job_id)
     _print("signal", "present" if present else "absent")
     _print("version", state.version)
@@ -91,7 +94,7 @@ def cmd_status(args) -> int:
     _print("estimated", int(state.estimated))
     _print("updated_by", state.updated_by)
     _print("updated_at", f"{state.updated_at:.6f}")
-    _print("commits", len(coord.read_commit_log(job)))
+    _print("commits", commits)
     return EXIT_OK
 
 
@@ -102,6 +105,8 @@ def cmd_report(args) -> int:
         return EXIT_STATE
     objective = objmod.from_manifest(coord.read_manifest(job))
     audit = optimizer.audit_estimate(job, objective)
+    tallies = coord.read_fleet_tally(job)
+    commits = len(coord.read_commit_log(job))
     state = audit.recorded
     _print("job_id", job.job_id)
     _print("version", state.version)
@@ -110,8 +115,7 @@ def cmd_report(args) -> int:
     _print("exact_performance", f"{audit.exact_performance:.17g}")
     _print("estimated", int(state.estimated))
     _print("estimate_drift", f"{audit.drift:.17g}")
-    tallies = coord.read_fleet_tally(job)
-    _print("commits", len(coord.read_commit_log(job)))
+    _print("commits", commits)
     _print("evaluations", sum(t.evaluations for t in tallies.values()))
     _print("rejected_not_better", sum(t.rejects_not_better for t in tallies.values()))
     _print("rejected_conflict", sum(t.rejects_conflict for t in tallies.values()))

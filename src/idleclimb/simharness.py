@@ -9,15 +9,25 @@ in checkpoint-sized slices so mid-evaluation aborts land where they would in
 real life.
 
 Concurrency is event interleaving only.  Every worker runs on its own
-thread, but exactly one thread is ever runnable: a thread that needs virtual
-time to pass parks itself in the event queue and hands the baton directly to
-whoever is due next, without a relay through the main thread.  All task
-threads are pinned to one CPU of the caller's allowed set: only one of them
-can run at a time anyway, and a baton passed to a thread asleep on another
-core costs a cross-core wake-up, which dominated the simulator's wall time.
-Ties in event time break by (time, worker id, event kind), so a run is a
-pure function of (fleet, job setup, sim config, seed) and reports compare
-bit-for-bit across runs and across directory backends.
+thread, but exactly one thread is ever runnable: a thread whose directory
+operation is not the earliest pending event parks itself in the event queue
+and hands the baton directly to whoever is due next, without a relay
+through the main thread.  All task threads are pinned to one CPU of the
+caller's allowed set: only one of them can run at a time anyway, and a
+baton passed to a thread asleep on another core costs a cross-core wake-up,
+which dominated the simulator's wall time.  Ties in event time break by
+(time, worker id, event kind), so a run is a pure function of (fleet, job
+setup, sim config, seed) and reports compare bit-for-bit across runs and
+across directory backends.
+
+A sleep (an evaluation slice, a poll interval, a lock backoff) is not a
+scheduling point: the sleeping task's clock runs ahead of the queue, and
+its next directory operation parks it if any queued event comes first.
+Between a sleep and that operation a task touches nothing another task
+reads, so every directory operation keeps its place in the global order
+(temporal decoupling, as in a SystemC TLM-2.0 quantum keeper).  Proposal
+records, though, are appended in run order, so the report sorts them by
+(time, worker), which is the event order.
 
 Speedup accounting: ``speedup`` is the virtual time the fastest fleet member
 would need to perform the run's completed evaluations back to back, divided
@@ -35,7 +45,7 @@ import os
 import random
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .clock import SECONDS_PER_DAY
@@ -103,18 +113,24 @@ def _task_cpu() -> int | None:
 class VirtualKernel:
     """Sequential-thread discrete-event scheduler.
 
-    Tasks call :meth:`advance` to consume virtual time.  A task that must
-    park pushes its event and hands the baton straight to the task owning
-    the earliest event (:meth:`_dispatch`); the main thread only starts the
-    run, waits for its end and unwinds.  Exactly one thread runs at any
-    instant, which is what makes runs deterministic, and all task threads
-    are pinned to one CPU, so a handoff never wakes a thread on another
-    core (with the GIL, that cross-core wake dominated a handoff's cost).
+    Tasks call :meth:`advance` before each directory operation and
+    :meth:`sleep` to let time pass.  ``now`` is the running task's time.  A
+    sleep moves it forward without parking, so a task may run ahead of the
+    queued events; its next :meth:`advance` parks it unless its event comes
+    before every queued one.  A task that parks pushes its event and hands
+    the baton straight to the task owning the earliest event
+    (:meth:`_dispatch`); the main thread only starts the run, waits for its
+    end and unwinds.  ``reached`` is the latest time any task has reached.
+    Exactly one thread runs at any instant, which is what makes runs
+    deterministic, and all task threads are pinned to one CPU, so a handoff
+    never wakes a thread on another core (with the GIL, that cross-core
+    wake dominated a handoff's cost).
     """
 
     def __init__(self, horizon: float = math.inf):
         self.now = 0.0
         self.horizon = horizon
+        self.reached = 0.0  # the latest virtual time any task has reached
         self._heap: list[tuple[float, str, int, int]] = []
         self._seq = 0
         self._tasks: dict[str, _Task] = {}
@@ -156,8 +172,20 @@ class VirtualKernel:
         self._seq += 1
         heapq.heappush(self._heap, (at, name, _KIND_RANK.get(kind, 9), self._seq))
 
+    def sleep(self, name: str, duration: float) -> None:
+        """Let task ``name`` sleep without parking: its time runs ahead of
+        the queued events until its next :meth:`advance` puts it back in
+        order.  A wake-up past the horizon, or during the unwind, parks (or
+        raises :class:`SimHorizon`) as :meth:`advance` does."""
+        at = self.now + (duration if duration > 0.0 else 0.0)
+        if at <= self.horizon and not self._stopping:
+            self.now = at
+        else:
+            self.advance(name, duration, "sleep")
+
     def advance(self, name: str, duration: float, kind: str) -> None:
-        """Consume virtual time on behalf of task ``name``."""
+        """Consume virtual time on behalf of task ``name``, parking it first
+        if any queued event comes before it."""
         at = self.now + (duration if duration > 0.0 else 0.0)
         if self._stopping:
             raise SimHorizon
@@ -183,6 +211,8 @@ class VirtualKernel:
         """Hand the baton to the task owning the earliest due event, or to
         the main thread when none is due before the horizon (or the run is
         unwinding)."""
+        if self.now > self.reached:
+            self.reached = self.now
         heap = self._heap
         while heap and not self._stopping and heap[0][0] <= self.horizon:
             at, name, _rank, _seq = heapq.heappop(heap)
@@ -231,20 +261,23 @@ class SimClock:
         return self._kernel.now
 
     def sleep(self, duration: float) -> None:
-        self._kernel.advance(self._name, duration, "sleep")
+        self._kernel.sleep(self._name, duration)
 
     def time_of_day(self, timestamp: float) -> float:
         return timestamp % SECONDS_PER_DAY
 
 
 class TimedBackend:
-    """Charges t_io of virtual time for every primitive directory operation."""
+    """Charges t_io of virtual time for every primitive directory operation
+    and notes when the signal file is first removed."""
 
-    def __init__(self, inner: Backend, kernel: VirtualKernel, name: str, t_io: float):
+    def __init__(self, inner: Backend, kernel: VirtualKernel, name: str, t_io: float,
+                 events: _Events):
         self._inner = inner
         self._kernel = kernel
         self._name = name
         self._t_io = t_io
+        self._events = events
 
     def _charge(self):
         self._kernel.advance(self._name, self._t_io, "io")
@@ -276,26 +309,11 @@ class TimedBackend:
     def remove(self, name):
         self._charge()
         self._inner.remove(name)
+        if name == SIGNAL_FILE and self._events.clear_time is None:
+            self._events.clear_time = self._kernel.now
 
     def describe(self):
         return self._inner.describe()
-
-
-class _SignalWatch:
-    """Backend wrapper that timestamps the first removal of the signal file."""
-
-    def __init__(self, inner: Backend, kernel: VirtualKernel):
-        self._inner = inner
-        self._kernel = kernel
-        self.cleared_at: float | None = None
-
-    def remove(self, name):
-        self._inner.remove(name)
-        if name == SIGNAL_FILE and self.cleared_at is None:
-            self.cleared_at = self._kernel.now
-
-    def __getattr__(self, attr):
-        return getattr(self._inner, attr)
 
 
 class ClockedObjective:
@@ -441,7 +459,7 @@ def ideal_speedup(fleet: Sequence[SimWorker], reference: str) -> float:
 @dataclass
 class _Events:
     stop_time: float | None = None
-    quiesce: dict[str, float] = field(default_factory=dict)
+    clear_time: float | None = None  # the first removal of the signal file
 
     def note_stop(self, at: float) -> None:
         if self.stop_time is None or at < self.stop_time:
@@ -475,7 +493,8 @@ def run_sim(
             raise ValueError(f"kill schedule names unknown worker {wid!r}")
 
     kernel = VirtualKernel(horizon=sim.horizon)
-    store = _SignalWatch(backend if backend is not None else MemBackend("sim"), kernel)
+    events = _Events()
+    store = backend if backend is not None else MemBackend("sim")
 
     # Initialization happens before the fleet exists, off the virtual clock.
     setup_job = JobDirectory(backend=store, clock=SimClock(kernel, "<setup>"), job_id=setup.job_id)
@@ -483,7 +502,6 @@ def run_sim(
     signal_set(setup_job)
 
     records: list[ProposalRecord] = []
-    events = _Events()
     kills: dict[str, list[float]] = {}
     for wid, at in kill_schedule:
         kills.setdefault(wid, []).append(at)
@@ -511,7 +529,8 @@ def _worker_body(w, kernel, store, setup, sim, records, events, kill_times, stat
     def body():
         clock = SimClock(kernel, w.id)
         job = JobDirectory(
-            backend=TimedBackend(store, kernel, w.id, sim.t_io), clock=clock, job_id=setup.job_id
+            backend=TimedBackend(store, kernel, w.id, sim.t_io, events), clock=clock,
+            job_id=setup.job_id,
         )
         duration = sim.t_eval * setup.objective.cost_hint / w.speed_factor
         objective = ClockedObjective(setup.objective, clock, duration)
@@ -558,7 +577,7 @@ def _operator_body(kernel, store, setup, sim, clear_at, events):
     def body():
         clock = SimClock(kernel, "<operator>")
         job = JobDirectory(
-            backend=TimedBackend(store, kernel, "<operator>", sim.t_io), clock=clock,
+            backend=TimedBackend(store, kernel, "<operator>", sim.t_io, events), clock=clock,
             job_id=setup.job_id,
         )
         clock.sleep(clear_at)
@@ -569,6 +588,9 @@ def _operator_body(kernel, store, setup, sim, clear_at, events):
 
 
 def _build_report(fleet, setup, sim, kernel, store, records, events, stats) -> SpeedupReport:
+    # A task appends its records as it runs, and sleeps run ahead of other
+    # tasks' events, so the list is in event order only after this sort.
+    records.sort(key=lambda rec: (rec.time, rec.worker))
     commits = wasted_duplicate = wasted_outdated = rejected_not_better = 0
     seen: set[tuple[int, int, int]] = set()
     last_record_time = 0.0
@@ -587,7 +609,7 @@ def _build_report(fleet, setup, sim, kernel, store, records, events, stats) -> S
 
     incomplete = events.stop_time is None
     if incomplete:
-        makespan = min(sim.horizon, kernel.now) if kernel.now > 0 else sim.horizon
+        makespan = min(sim.horizon, kernel.reached) if kernel.reached > 0 else sim.horizon
     else:
         makespan = max(events.stop_time, last_record_time)
 
@@ -629,7 +651,7 @@ def _build_report(fleet, setup, sim, kernel, store, records, events, stats) -> S
         ideal_speedup=ideal,
         efficiency=efficiency,
         incomplete=incomplete,
-        clear_time=store.cleared_at,
+        clear_time=events.clear_time,
         final_version=final.version,
         final_performance=final.performance,
         worker_stats=worker_stats,

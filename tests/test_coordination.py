@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import tempfile
 import threading
 import time
 
@@ -228,6 +229,15 @@ class TestCommit:
                       change=proposal(index=2, new_value=1, delta=0.5, proposer="pc1"))
         log = read_commit_log(job)
         assert log == [(1, 2, 1, 0.5, "pc1")]
+
+    def test_a_malformed_commit_line_is_a_format_error(self, mem_job):
+        job = mem_job()
+        publish_initial(job, state(performance=1.0))
+        commit_update(job, 0, state(version=1, performance=1.5), change=proposal())
+        job.backend.append_line(CHANGES_FILE, "1 2 x 0.5 w1")
+        number = len(job.backend.read_text(CHANGES_FILE).splitlines())
+        with pytest.raises(FormatError, match=f"line {number} "):
+            read_commit_log(job)
 
     def test_reader_never_sees_torn_record(self, fs_job):
         """One writer committing, two readers hammering read_best: every read
@@ -553,6 +563,73 @@ class TestTallyReader:
         commit_update(job, 1, state(version=2, performance=3.0), change=proposal(base_version=1))
         assert len(read_commit_log(job)) == 2
         assert read_fleet_tally(job) == {"w": WorkerTally(evaluations=2, commits=1)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        writes=st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(["w1", "w2", "w3", "w4"]), st.integers(0, 40)),
+                st.sampled_from([
+                    "3 1 2 0.5 w1",
+                    "#tally w2 evals=99 commits=0",
+                    "#tally w3 evals=-5 commits=0 not_better=0 conflict=0 stale=0",
+                    "#tally w4 evals=77 commits=0 not_better=0 conflict=0 stale=x",
+                ]),
+            ),
+            min_size=1, max_size=30,
+        ),
+        cuts=st.lists(st.integers(0, 10**6), max_size=12),
+    )
+    def test_the_running_total_matches_the_per_worker_tallies(self, writes, cuts):
+        # Counts go down as well as up, and malformed lines name real ids.
+        backend = _ChunkedLog()
+        job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="t")
+        for write in writes:
+            if isinstance(write, str):
+                backend.append_line(CHANGES_FILE, write)
+            else:
+                append_tally(job, write[0], WorkerTally(evaluations=write[1], commits=1))
+        total = len(backend.read_text(CHANGES_FILE))
+        reader = TallyReader(job)
+        for cut in sorted(c % (total + 1) for c in cuts) + [total]:
+            backend.visible = cut
+            reader.refresh()
+            tallies = reader.per_worker
+            for worker_id in ("w1", "w2", "w3", "w4", "w5"):
+                others = sum(t.evaluations for w, t in tallies.items() if w != worker_id)
+                assert reader.evaluations_excluding(worker_id) == others
+        last = {w: n for w, n in (x for x in writes if not isinstance(x, str))}
+        assert {w: t.evaluations for w, t in reader.per_worker.items()} == last
+
+
+backend_names = st.sampled_from(["a", "b", "c.log"])
+backend_text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+backend_ops = st.one_of(
+    st.tuples(st.just("append_line"), backend_names, backend_text),
+    st.tuples(st.just("write_atomic"), backend_names,
+              st.text(st.sampled_from("ab =\n#7"), max_size=20)),
+    st.tuples(st.just("create_exclusive"), backend_names, backend_text),
+    st.tuples(st.just("remove"), backend_names),
+    st.tuples(st.just("exists"), backend_names),
+    st.tuples(st.just("read_text"), backend_names),
+    st.tuples(st.just("read_tail"), backend_names, st.integers(0, 40)),
+)
+
+
+class TestBackendEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(backend_ops, min_size=1, max_size=30))
+    def test_memory_and_filesystem_backends_give_identical_results(self, ops):
+        with tempfile.TemporaryDirectory() as path:
+            backends = (MemBackend(), FsBackend(path))
+            for op in ops:
+                results = []
+                for backend in backends:
+                    try:
+                        results.append(getattr(backend, op[0])(*op[1:]))
+                    except FileNotFoundError:
+                        results.append(FileNotFoundError)
+                assert results[0] == results[1], op
 
 
 @pytest.mark.parametrize("reader", sorted(CODEC_READERS))

@@ -7,6 +7,7 @@ import pytest
 from idleclimb import master
 from idleclimb.coordination import (
     BEST_FILE,
+    CHANGES_FILE,
     JobDirectory,
     read_best,
     read_commit_log,
@@ -150,6 +151,19 @@ class TestStatus:
         assert not values
         assert err.startswith("error=") and len(err.splitlines()) == 1
         assert "checksum" in err
+
+    @pytest.mark.parametrize("command", ["status", "report"])
+    def test_a_malformed_commit_line_exits_4_and_prints_nothing(self, tmp_path, capsys,
+                                                                 command):
+        jobdir = tmp_path / "job"
+        run(capsys, "init", str(jobdir))
+        with open(jobdir / CHANGES_FILE, "a", encoding="utf-8") as fh:
+            fh.write("1 2 x 0.5 w1\n")
+        code, values, err = run(capsys, command, str(jobdir))
+        assert code == 4
+        assert not values
+        assert err.startswith("error=") and len(err.splitlines()) == 1
+        assert f"{CHANGES_FILE} line 1 " in err
 
     def test_missing_best_exits_3(self, tmp_path, capsys):
         jobdir = tmp_path / "job"

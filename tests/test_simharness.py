@@ -527,8 +527,9 @@ class TestHandoff:
 
 # ---------------------------------------------------------------------------
 # Exactness: every simulated event, every report field and every stored byte
-# is pinned, along with the number of baton grants.  Any change to how the
-# kernel hands control between tasks must leave all of these unchanged.
+# is pinned, along with the number of baton grants.  A change to how the
+# kernel hands control between tasks must leave every digest unchanged; the
+# grant counts move only when a change removes handoffs on purpose.
 
 MIXED_FLEET = (
     SimWorker(id="a", speed_factor=1.0, poll_interval=0.5),
@@ -539,6 +540,21 @@ MIXED_FLEET = (
 )
 MIXED_KILLS = (("a", 2.2), ("c", 4.05), ("b", 9.0), ("a", 30.0))
 # At horizon 17.77 the operator's clear falls exactly on the horizon.
+
+# Tie-heavy cases.  With t_io = 0 a directory operation lands exactly on the
+# wake time of the sleep before it, and at equal times the kernel's
+# tie-break alone decides who goes first.
+SPEED_FLEET = tuple(SimWorker(id=f"s{i}", speed_factor=speed)
+                    for i, speed in enumerate((1.0, 0.5, 2.0, 0.25)))
+WINDOW_FLEET = (
+    SimWorker(id="a", availability=((0.0, 3.0), (3.0, math.inf)), poll_interval=0.5),
+    SimWorker(id="b", speed_factor=0.5,
+              availability=((0.0, 3.0), (3.0, 6.0), (6.0, math.inf)), poll_interval=0.25),
+    SimWorker(id="c", speed_factor=2.0, poll_interval=1.0),
+)
+# Two workers killed at the same instant, twice; the second pair falls on a
+# horizon.
+WINDOW_KILLS = (("a", 1.5), ("c", 1.5), ("b", 4.5), ("c", 4.5))
 
 
 def _exactness_run(case: str) -> tuple[str, int]:
@@ -558,6 +574,22 @@ def _exactness_run(case: str) -> tuple[str, int]:
                         stop=StopCondition(max_total_evaluations=90))
         kwargs = {"kill_schedule": MIXED_KILLS,
                   "clear_signal_at": 17.77 if clear == "clear" else None}
+    elif kind == "ties":
+        mode, t_io = OptimizerMode.parse(params[0]), float(params[1])
+        fleet = homogeneous_fleet(7)
+        setup = default_setup(mode=mode, init_seed=7)
+        sim = small_sim(seed=7, evals=200, t_io=t_io)
+    elif kind == "speeds":
+        fleet = SPEED_FLEET
+        setup = default_setup(init_seed=8)
+        sim = SimConfig(t_eval=0.5, t_io=float(params[0]), seed=8,
+                        stop=StopCondition(max_total_evaluations=150))
+    elif kind == "windows":
+        fleet = WINDOW_FLEET
+        setup = default_setup(init_seed=9)
+        sim = SimConfig(t_eval=1.0, t_io=0.0, seed=9, horizon=float(params[0]),
+                        stop=StopCondition(max_total_evaluations=60))
+        kwargs = {"kill_schedule": WINDOW_KILLS}
     else:
         assert kind == "stagnation"
         fleet = homogeneous_fleet(3)
@@ -594,95 +626,143 @@ def _exactness_run(case: str) -> tuple[str, int]:
 EXACTNESS_PINS = {
     "fleet-change_merge-3-1": (
         "697047cf87ed26508d8765f20607448f4ba52d22585654a6c39e05a796471453",
-        3074,
+        3034,
     ),
     "fleet-change_merge-3-2": (
         "9268609b9a38edf096934658a4c43b03e8f6c84c998677943bbc9f73a3d1d0e7",
-        3055,
+        3025,
     ),
     "fleet-change_merge-10-1": (
         "a06130e4ba4c9075b79aee476e55612e47de319fdcc60ac4de05790108676cfc",
-        4424,
+        3457,
     ),
     "fleet-change_merge-10-2": (
         "98efc320d05defbb29186119434638aaebf3c8c350c34aa4343a6ffebe9cad43",
-        4425,
+        3436,
     ),
     "fleet-change_merge-50-1": (
         "a3273a2023e598e833cfa23d61447066814ba5ae211621b543010c551521323c",
-        10207,
+        6663,
     ),
     "fleet-change_merge-50-2": (
         "733ea8f3fe41ac8aecb35aec37781c6149b3db6a3d1209b2083e348ea91cc267",
-        8619,
+        5211,
     ),
     "fleet-replace_if_better-3-1": (
         "25e341f4333fe1f2f59a263ad136b75292ac200edd5195b7a52396bd5ffdf4d6",
-        3120,
+        3050,
     ),
     "fleet-replace_if_better-3-2": (
         "389a718299a6262323c3a35e0a73395dcad9075c27157b6569b7d2bcc829a236",
-        3055,
+        3025,
     ),
     "fleet-replace_if_better-10-1": (
         "e8d14d00e25b8e72d95ad7ee70550c0df80f35da8aa18dc57ce9bf46d64f5963",
-        4166,
+        3354,
     ),
     "fleet-replace_if_better-10-2": (
         "da7c64afc6a4a5cd63784583af71a43a147aecfbeb274162198e46a0f40de094",
-        4621,
+        3503,
     ),
     "fleet-replace_if_better-50-1": (
         "6bb6e731c1ef9c7fed56737c1718a8a4641153a49bb6bcdf5b03dd41f3a8acf9",
-        10499,
+        6726,
     ),
     "fleet-replace_if_better-50-2": (
         "0e2ac30a2a5f1ef068497ccefbc4aff5fe5c99e22667409ce9f661e24a46e28a",
-        8240,
+        5103,
     ),
     "mixed-clear-1e9": (
         "6a14f2769c6a2692a944890a5bb7fbd24ec03d312164dec89db76ad5359d7394",
-        549,
+        384,
     ),
     "mixed-clear-5.0": (
         "98a6238dc0b9e1fbae3b11e0ae880d7b51c5c2cc516cd97b42b879d41db9153c",
-        164,
+        114,
     ),
     "mixed-clear-12.3456": (
         "adf6d541879c5bbe8ba6c63047d09b7a8af983e586fff77670d0af03aa6c642b",
-        373,
+        259,
     ),
     "mixed-clear-30.0005": (
         "6a14f2769c6a2692a944890a5bb7fbd24ec03d312164dec89db76ad5359d7394",
-        549,
+        384,
     ),
     "mixed-clear-17.77": (
         "ee4a8840b123826869a5e25ccc46b077c45597b6bd69bbbc22ac72c95db33956",
-        544,
+        381,
     ),
     "mixed-none-17.77": (
         "a34aafc426fdfa5422425f3a8714a6ec88024c6c8b4d7e028e5482a7c3e7ac89",
-        541,
+        379,
     ),
     "mixed-none-1e9": (
         "bcb781c24c8eb7def5844fa53db2c4bd6d4a6b12acdcd8d5c45797fd0e8b144a",
-        1294,
+        905,
     ),
     "mixed-none-5.0": (
         "98a6238dc0b9e1fbae3b11e0ae880d7b51c5c2cc516cd97b42b879d41db9153c",
-        162,
+        112,
     ),
     "mixed-none-12.3456": (
         "adf6d541879c5bbe8ba6c63047d09b7a8af983e586fff77670d0af03aa6c642b",
-        371,
+        257,
     ),
     "mixed-none-30.0005": (
         "b036f161527113143abe05b56e0b5d9b3e395264a1abdc5b6c9581f791bae1e2",
-        1010,
+        711,
     ),
     "stagnation": (
         "37891a11af4109e315d243417815b98561fb1aa633c24d1a514f7f181f6e7998",
-        814,
+        782,
+    ),
+    "ties-change_merge-0": (
+        "6916a47c0031192e489bcfea6d3b27c0d891b7a373fa2f7d210f374a45c975c3",
+        2040,
+    ),
+    "ties-change_merge-0.05": (
+        "7f8e0e0d074f994cf35adaaf72e9f84b236ddf76462b52ff95b4d9a3ac8d2915",
+        2808,
+    ),
+    "ties-change_merge-0.1": (
+        "e5bd50238e6a939df3e1b106061524901a2868f0a18bfdba83436d0a8bf8260e",
+        2838,
+    ),
+    "ties-replace_if_better-0": (
+        "fb0a554513b288eaa285106fbddab0e303ea3851b5d29e9a04e366f6932a18b2",
+        2040,
+    ),
+    "ties-replace_if_better-0.05": (
+        "66500cabeef738f41fcff959f251487f857966426c2d21805a7be03ed1bb9abd",
+        2759,
+    ),
+    "ties-replace_if_better-0.1": (
+        "ab482b2b120370518ab928861716db8c89577f436b4520affb53f03b08cefbb7",
+        2827,
+    ),
+    "speeds-0": (
+        "aa5f27c4513d7b2c55d8716cea195a3b133ff9c30826aa278097470c1b6cd222",
+        1161,
+    ),
+    "speeds-0.25": (
+        "b9d32a41f3c2d77005e88b311729edf1c6dadb063a3a3c5f3d897684246f7f72",
+        2181,
+    ),
+    "windows-2.0": (
+        "a04101e24fae3a8ee9578ab7f2c48c62c45524c24130f1517eb92d42dbb51186",
+        45,
+    ),
+    "windows-4.5": (
+        "cae9d149b2360a70cd632cb973ebd6559a66ebc94efc7a5a948d0c50a09c4c27",
+        99,
+    ),
+    "windows-8.0": (
+        "abead69616ba03648cf5647b4329687cb07ab4d5bad44351947471832e910637",
+        183,
+    ),
+    "windows-1e9": (
+        "03447e2c2ed71c148d62e6b1b3665a796a96437428d2ed8d022bbd556ff969d4",
+        539,
     ),
 }
 
