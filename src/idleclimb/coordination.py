@@ -45,6 +45,7 @@ checksum framing.
 
 from __future__ import annotations
 
+import codecs
 import functools
 import hashlib
 import itertools
@@ -156,7 +157,7 @@ class FsBackend:
 
     def read_text(self, name: str) -> str:
         try:
-            with open(self._full(name), "r", encoding="utf-8", newline="") as fh:
+            with open(self._full(name), "r", encoding="utf-8", errors="replace", newline="") as fh:
                 return fh.read()
         except FileNotFoundError:
             raise
@@ -165,14 +166,17 @@ class FsBackend:
 
     def read_tail(self, name: str, offset: int) -> tuple[str, int]:
         try:
-            with open(self._full(name), "r", encoding="utf-8", newline="") as fh:
+            with open(self._full(name), "rb") as fh:
                 fh.seek(offset)
-                data = fh.read()
-                return data, offset + len(data.encode("utf-8"))
+                raw = fh.read()
         except FileNotFoundError:
             return "", offset
         except OSError as exc:
             raise self._check_dir(exc) from exc
+        # A character cut off at the end is left unread, for the next call.
+        decoder = codecs.getincrementaldecoder("utf-8")("replace")
+        data = decoder.decode(raw)
+        return data, offset + len(raw) - len(decoder.getstate()[0])
 
     def write_atomic(self, name: str, data: str) -> None:
         tmp = self._tmp_name(name)

@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .coordination import (
     BestState,
@@ -101,9 +101,10 @@ class StopCondition:
     (``TALLY_SYNC_INTERVAL`` + one evaluation), plus one in-flight
     evaluation per worker, plus the unflushed count of any worker that was
     killed.  A lone worker stops at exactly the budget.
-    ``stagnation_proposals`` triggers an exhaustive neighbor sweep after that
-    many proposals without any fleet commit; the job stops only if the sweep
-    proves no single-element change improves the current best.
+    ``stagnation_proposals``: once a worker has completed that many
+    proposals against one version of the best record (0: at once), its next
+    changes sweep every single-element change of that version; the job stops
+    only if the whole sweep finds none better while the version stays put.
     """
 
     max_total_evaluations: int | None = None
@@ -284,7 +285,7 @@ def evaluate_and_merge(
         proposer=proposer,
     )
 
-    latest = read_best(job)
+    latest = _io_retry(job, lambda: read_best(job))
     for _ in range(MERGE_MAX_RETRIES + 1):
         if latest.version == base.version:
             config, performance, estimated = candidate, measured, False
@@ -365,6 +366,16 @@ def work_loop(
     are retried briefly; a missing best.dat aborts with
     :class:`NotInitializedError`.
 
+    Every proposal passes the same loop top.  The loop counts the completed
+    proposals made against the version it last read; once that count
+    reaches ``stop.stagnation_proposals``, changes come from an exhaustive
+    sweep of the neighbors of that version instead of :func:`propose`.  An
+    abort, any outcome other than not-better, or a new version at the loop
+    top drops the sweep; while the version is unchanged, the next sweep
+    starts again from the first neighbor.  A sweep that runs out has found
+    every neighbor not better against a version that never moved: the job
+    is at a local optimum, and this worker clears the signal.
+
     The worker's tally stays in memory.  The loop syncs it (writes its own
     tally if it changed, then re-reads the fleet's) at the first loop top,
     at the loop top after a commit, and otherwise at most once per
@@ -379,19 +390,74 @@ def work_loop(
     flushed = tally  # the tally last written; an empty one is never written
     tallies = TallyReader(job)
     last_sync = -math.inf  # job-clock time of the last sync; -inf makes one due
-    proposals_since_commit = 0
-    last_seen_version: int | None = None
+    counted_version: int | None = None  # the version ``proposals`` count against
+    proposals = 0
+    sweep: Iterator[tuple[int, int]] | None = None  # neighbors left to try
 
-    def record(base: BestState, change: tuple[int, int], outcome: MergeOutcome) -> None:
-        nonlocal tally, proposals_since_commit, last_sync
+    def flush() -> None:
+        nonlocal flushed
+        if tally != flushed:
+            _io_retry(job, lambda: append_tally(job, worker_id, tally))
+            flushed = tally
+
+    def stop_now(best: BestState) -> bool:
+        nonlocal last_sync, tally, flushed
+        now = job.clock.now()
+        # A wall clock stepped back also forces a sync, rather than none.
+        if not 0.0 <= now - last_sync < TALLY_SYNC_INTERVAL:
+            flush()
+            _io_retry(job, tallies.refresh)
+            if not tally.evaluations:
+                # Nothing counted yet: a worker re-entering the job under its
+                # id counts on from its earlier loops' tally.
+                tally = flushed = tallies.per_worker.get(worker_id, tally)
+            last_sync = now
+        fleet = tallies.evaluations_excluding(worker_id) + tally.evaluations
+        return stop.satisfied(best.performance, fleet)
+
+    while True:
+        if cancel():
+            report.exit_reason = "cancelled"
+            break
+        if not _io_retry(job, lambda: signal_exists(job)):
+            report.exit_reason = "signal_cleared"
+            break
+        base = _io_retry(job, lambda: read_best(job))
+        if base.version != counted_version:
+            counted_version, proposals, sweep = base.version, 0, None
+        if stop_now(base):
+            _io_retry(job, lambda: signal_clear(job))
+            report.exit_reason = "stop_condition"
+            break
+
+        if stop.stagnation_proposals is None or proposals < stop.stagnation_proposals:
+            change = propose(base, objective, rng)
+        else:
+            if sweep is None:
+                sweep = neighbors(objective, base.config)
+            change = next(sweep, None)
+            if change is None:
+                _io_retry(job, lambda: signal_clear(job))
+                report.exit_reason = "stagnation"
+                break
+
+        try:
+            outcome = evaluate_and_merge(
+                job, base, change, objective, mode, proposer=worker_id, cancel=cancel
+            )
+        except EvaluationAborted:
+            report.aborted += 1
+            sweep = None
+            continue
+        proposals += 1
         report.evaluations += 1
         if outcome.kind is Outcome.COMMITTED:
             report.commits += 1
-            proposals_since_commit = 0
             last_sync = -math.inf
         else:
             report.rejects_by_kind[outcome.kind.value] += 1
-            proposals_since_commit += 1
+            if outcome.kind is not Outcome.REJECTED_NOT_BETTER:
+                sweep = None
         tally = WorkerTally(
             evaluations=tally.evaluations + 1,
             commits=tally.commits + (outcome.kind is Outcome.COMMITTED),
@@ -426,109 +492,5 @@ def work_loop(
                 )
             )
 
-    def one_proposal(base: BestState, change: tuple[int, int]) -> MergeOutcome | None:
-        """Evaluate and merge one change; None means the evaluation aborted."""
-        try:
-            outcome = evaluate_and_merge(
-                job, base, change, objective, mode, proposer=worker_id, cancel=cancel
-            )
-        except EvaluationAborted:
-            report.aborted += 1
-            return None
-        record(base, change, outcome)
-        return outcome
-
-    def flush() -> None:
-        nonlocal flushed
-        if tally != flushed:
-            _io_retry(job, lambda: append_tally(job, worker_id, tally))
-            flushed = tally
-
-    def stop_now(best: BestState) -> bool:
-        nonlocal last_sync, tally, flushed
-        now = job.clock.now()
-        # A wall clock stepped back also forces a sync, rather than none.
-        if not 0.0 <= now - last_sync < TALLY_SYNC_INTERVAL:
-            flush()
-            _io_retry(job, tallies.refresh)
-            if not tally.evaluations:
-                # Nothing counted yet: a worker re-entering the job under its
-                # id counts on from its earlier loops' tally.
-                tally = flushed = tallies.per_worker.get(worker_id, tally)
-            last_sync = now
-        fleet = tallies.evaluations_excluding(worker_id) + tally.evaluations
-        return stop.satisfied(best.performance, fleet)
-
-    while True:
-        if cancel():
-            report.exit_reason = "cancelled"
-            break
-        if not _io_retry(job, lambda: signal_exists(job)):
-            report.exit_reason = "signal_cleared"
-            break
-        base = read_best(job)
-        if last_seen_version is None or base.version != last_seen_version:
-            proposals_since_commit = 0
-        last_seen_version = base.version
-        if stop_now(base):
-            _io_retry(job, lambda: signal_clear(job))
-            report.exit_reason = "stop_condition"
-            break
-
-        if (
-            stop.stagnation_proposals is not None
-            and proposals_since_commit >= stop.stagnation_proposals
-        ):
-            verdict = _stagnation_sweep(job, base, objective, mode, one_proposal, cancel, stop_now)
-            if verdict == "local_optimum":
-                _io_retry(job, lambda: signal_clear(job))
-                report.exit_reason = "stagnation"
-                break
-            if verdict in ("cancelled", "signal_cleared", "stop_condition"):
-                if verdict == "stop_condition":
-                    _io_retry(job, lambda: signal_clear(job))
-                report.exit_reason = verdict
-                break
-            continue  # inconclusive: the best moved, or a sweep change committed
-
-        change = propose(base, objective, rng)
-        one_proposal(base, change)
-
     flush()
     return report
-
-
-def _stagnation_sweep(
-    job: JobDirectory,
-    base: BestState,
-    objective: Objective,
-    mode: OptimizerMode,
-    one_proposal,
-    cancel: CancelCheck,
-    stop_now,
-) -> str:
-    """Exhaustively try every single-element change against ``base``.
-
-    Returns "local_optimum" only when all n*(L-1) neighbors evaluated to
-    not-better and the global best did not move meanwhile, i.e. the stored
-    configuration is a proven local optimum.
-    """
-    clean = True
-    for change in neighbors(objective, base.config):
-        if cancel():
-            return "cancelled"
-        if not _io_retry(job, lambda: signal_exists(job)):
-            return "signal_cleared"
-        if stop_now(base):
-            return "stop_condition"
-        outcome = one_proposal(base, change)
-        if outcome is None:
-            # Aborted mid-evaluation; let the main loop re-check cancel and
-            # signal state and exit with the accurate reason.
-            return "inconclusive"
-        if outcome.kind is not Outcome.REJECTED_NOT_BETTER:
-            clean = False
-            break
-    if clean and read_best(job).version == base.version:
-        return "local_optimum"
-    return "inconclusive"

@@ -541,6 +541,21 @@ class TestTallyReader:
         reader.refresh()
         assert reader.per_worker["w2"] == WorkerTally(evaluations=7, commits=2)
 
+    def test_a_tally_torn_inside_a_character_waits_for_the_rest(self, fs_job):
+        job = fs_job()
+        append_tally(job, "w\u00e9", WorkerTally(evaluations=4))
+        log_path = os.path.join(job.path, CHANGES_FILE)
+        with open(log_path, "ab") as fh:
+            fh.write(b"#tally w\xc3")  # cut inside the two bytes of U+00E9
+        reader = TallyReader(job)
+        reader.refresh()
+        assert reader.per_worker == {"w\u00e9": WorkerTally(evaluations=4)}
+        assert read_commit_log(job) == []
+        with open(log_path, "ab") as fh:
+            fh.write(b"\xa9 evals=5 commits=0 not_better=0 conflict=0 stale=0\n")
+        reader.refresh()
+        assert reader.per_worker == {"w\u00e9": WorkerTally(evaluations=5)}
+
     @pytest.mark.parametrize("line", [
         "#tally w1 evals=9 commits=0 not_better=0 conflict=0",
         "#tally w1 evals=-3 commits=0 not_better=0 conflict=0 stale=0",

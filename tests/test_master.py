@@ -165,6 +165,17 @@ class TestStatus:
         assert err.startswith("error=") and len(err.splitlines()) == 1
         assert f"{CHANGES_FILE} line 1 " in err
 
+    def test_a_tally_torn_inside_a_character_is_read_around(self, tmp_path, capsys):
+        jobdir = tmp_path / "job"
+        run(capsys, "init", str(jobdir))
+        with open(jobdir / CHANGES_FILE, "ab") as fh:
+            fh.write("#tally w\u00e9 evals=4 commits=0 not_better=4 conflict=0 stale=0\n"
+                     .encode("utf-8"))
+            fh.write(b"#tally w\xc3")  # cut inside the two bytes of U+00E9
+        code, values, _ = run(capsys, "status", str(jobdir))
+        assert code == 0
+        assert values["version"] == "0"
+
     def test_missing_best_exits_3(self, tmp_path, capsys):
         jobdir = tmp_path / "job"
         jobdir.mkdir()

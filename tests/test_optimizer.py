@@ -1,6 +1,7 @@
 """Hill-climbing protocol: init-once, proposals, the double-read merge."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from idleclimb.coordination import (
     JobDirectory,
     MemBackend,
     NotInitializedError,
+    ShareUnreachableError,
+    commit_update,
     read_best,
     read_fleet_tally,
     signal_clear,
@@ -304,18 +307,78 @@ class TestWorkLoop:
         assert report.exit_reason == "cancelled"
         assert read_best(job).version == 0  # nothing written
 
-    def test_stagnation_exits_at_verified_local_optimum(self, mem_job):
+    @pytest.mark.parametrize("stagnation", [10, 0])
+    def test_stagnation_exits_at_verified_local_optimum(self, mem_job, stagnation):
         obj = PhaseMaskObjective(length=6, level_count=2, target_order=1)
         job = mem_job()
         initialize(job, (0,) * 6, obj)
         signal_set(job)
         report = work_loop(job, "w", obj, OptimizerMode.REPLACE_IF_BETTER,
-                           StopCondition(stagnation_proposals=10), rng=random.Random(3))
+                           StopCondition(stagnation_proposals=stagnation),
+                           rng=random.Random(3))
         assert report.exit_reason == "stagnation"
         assert not signal_exists(job)
         final = read_best(job)
         for change in neighbors(obj, final.config):
             assert obj.evaluate(apply_change(final.config, change)) <= final.performance
+
+    def test_a_new_version_drops_the_sweep(self, mem_job):
+        job = mem_job()
+        optimum = initialize(job, brute_force_optimum(OBJ8)[0], OBJ8)
+        signal_set(job)
+
+        class OtherWriter:
+            """OBJ8, except that another worker commits a new version of
+            the same record during the 6th evaluation."""
+
+            length, level_count, cost_hint = OBJ8.length, OBJ8.level_count, OBJ8.cost_hint
+            calls = 0
+
+            def evaluate(self, config, checkpoint=None):
+                self.calls += 1
+                if self.calls == 6:
+                    commit_update(job, 0, replace(optimum, version=1, updated_by="other"))
+                return OBJ8.evaluate(config, checkpoint)
+
+        seen = []
+        report = work_loop(job, "w", OtherWriter(), OptimizerMode.REPLACE_IF_BETTER,
+                           StopCondition(stagnation_proposals=2), rng=random.Random(0),
+                           observer=seen.append)
+        assert report.exit_reason == "stagnation"
+        # 2 random proposals, 4 sweep steps, then no evaluation against the
+        # old version: 2 random proposals and a full sweep of 8 at version 1.
+        assert [r.base_version for r in seen] == [0] * 6 + [1] * 10
+        assert report.evaluations == 16
+
+    @pytest.mark.parametrize("nth", [2, 4])  # the merge re-read; the next loop top
+    def test_one_failed_best_read_is_retried(self, mem_job, nth):
+        inner = fresh_job(mem_job)
+
+        class FailsOneBestRead:
+            """The job's backend, except that its ``nth`` best.dat read fails."""
+
+            reads = 0
+
+            def read_text(self, name):
+                if name == BEST_FILE:
+                    self.reads += 1
+                    if self.reads == nth:
+                        raise ShareUnreachableError("share gone for one read")
+                return inner.backend.read_text(name)
+
+            def __getattr__(self, name):
+                return getattr(inner.backend, name)
+
+        backend = FailsOneBestRead()
+        job = JobDirectory(backend=backend, clock=inner.clock, job_id=inner.job_id)
+        seen = []
+        report = work_loop(job, "w", OBJ8, OptimizerMode.REPLACE_IF_BETTER,
+                           StopCondition(max_total_evaluations=5), rng=random.Random(1),
+                           observer=seen.append)
+        assert seen[0].outcome is Outcome.COMMITTED  # so read 2 is the merge re-read
+        assert backend.reads > nth
+        assert report.exit_reason == "stop_condition"
+        assert report.evaluations == 5
 
     def test_commit_tallies_match_version(self, mem_job):
         job = fresh_job(mem_job)

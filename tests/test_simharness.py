@@ -713,7 +713,7 @@ EXACTNESS_PINS = {
         711,
     ),
     "stagnation": (
-        "37891a11af4109e315d243417815b98561fb1aa633c24d1a514f7f181f6e7998",
+        "be1efd32a746b9ecd70be04665a7f422967288b88efbd62547c592d23b446908",
         782,
     ),
     "ties-change_merge-0": (
