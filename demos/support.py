@@ -99,12 +99,7 @@ def naive_replace(
     if measured <= base.performance:
         return None
     proposal = ChangeProposal(
-        base_version=base.version,
-        index=index,
-        new_value=new_value,
-        measured_performance=measured,
-        delta=measured - base.performance,
-        proposer=proposer,
+        index=index, new_value=new_value, delta=measured - base.performance, proposer=proposer
     )
     state = BestState(
         version=read_best(job).version + 1,

@@ -14,7 +14,9 @@ through files in it:
     Always replaced atomically, never edited in place.
 ``lock``
     Short-lived writer lock: ``owner=``, ``acquired_at=``, ``stale_after=``.
-    Created exclusively; locks older than their ``stale_after`` are broken.
+    Created exclusively; a lock older than :data:`STALE_AFTER` is broken.
+    The lock's timings are protocol constants; ``stale_after=`` is written
+    from the constant for earlier versions, which judge a lock by it.
 ``manifest.dat``
     Immutable job description: ``job_id=``, objective parameters, stop
     parameters.
@@ -67,9 +69,9 @@ LOCK_FILE = "lock"
 MANIFEST_FILE = "manifest.dat"
 CHANGES_FILE = "changes.log"
 
-DEFAULT_STALE_AFTER = 30.0
-DEFAULT_LOCK_DEADLINE = 30.0
-DEFAULT_LOCK_BACKOFF = 0.05
+STALE_AFTER = 30.0
+LOCK_DEADLINE = 30.0
+LOCK_BACKOFF = 0.05
 
 TALLY_PREFIX = "#tally"
 
@@ -308,10 +310,8 @@ class BestState:
 class ChangeProposal:
     """A worker's candidate single-element change and its measured effect."""
 
-    base_version: int
     index: int
     new_value: int
-    measured_performance: float
     delta: float
     proposer: str
 
@@ -333,7 +333,6 @@ CommitResult = Union[Committed, VersionConflict]
 class LockHandle:
     owner: str
     acquired_at: float
-    stale_after: float
 
 
 @dataclass(frozen=True)
@@ -526,7 +525,7 @@ def _serialize_lock(handle: LockHandle) -> str:
     return (
         f"owner={handle.owner}\n"
         f"acquired_at={handle.acquired_at:.17g}\n"
-        f"stale_after={handle.stale_after:.17g}\n"
+        f"stale_after={STALE_AFTER:.17g}\n"
     )
 
 
@@ -534,54 +533,45 @@ def _parse_lock(text: str) -> LockHandle | None:
     """The lock's holder, or None for a lock file that does not parse."""
     try:
         fields = parse_fields(text, LOCK_FILE)
-        return LockHandle(
-            owner=fields["owner"],
-            acquired_at=float(fields["acquired_at"]),
-            stale_after=float(fields["stale_after"]),
-        )
+        return LockHandle(owner=fields["owner"], acquired_at=float(fields["acquired_at"]))
     except (KeyError, ValueError):
         return None
 
 
-def acquire_lock(
-    job: JobDirectory,
-    owner: str,
-    stale_after: float = DEFAULT_STALE_AFTER,
-    *,
-    deadline: float = DEFAULT_LOCK_DEADLINE,
-    backoff: float = DEFAULT_LOCK_BACKOFF,
-) -> LockHandle:
-    """Take the job's writer lock.
+def acquire_lock(job: JobDirectory, owner: str) -> LockHandle:
+    """Take the job's writer lock, retrying a live one every
+    :data:`LOCK_BACKOFF` seconds and raising :class:`LockContentionError`
+    after :data:`LOCK_DEADLINE`.
 
-    A lock older than its own stale_after is assumed to belong to a dead
-    process (a worker killed mid-commit); it is deleted and re-acquired, and
-    the break is logged.
+    A lock older than :data:`STALE_AFTER`, whatever ``stale_after=`` it
+    declares, is assumed to belong to a dead process (a worker killed
+    mid-commit); it is deleted and re-acquired, and the break is logged.
     """
     start = job.clock.now()
     while True:
-        handle = LockHandle(owner=owner, acquired_at=job.clock.now(), stale_after=stale_after)
+        handle = LockHandle(owner=owner, acquired_at=job.clock.now())
         if job.backend.create_exclusive(LOCK_FILE, _serialize_lock(handle)):
             return handle
         try:
             existing = _parse_lock(job.backend.read_text(LOCK_FILE))
         except FileNotFoundError:
             continue  # released between our attempt and the read; retry now
-        if existing is not None and job.clock.now() - existing.acquired_at > existing.stale_after:
+        if existing is not None and job.clock.now() - existing.acquired_at > STALE_AFTER:
             log.warning(
                 "%s: breaking stale lock held by %s (age %.1fs > %.1fs)",
                 job.path,
                 existing.owner,
                 job.clock.now() - existing.acquired_at,
-                existing.stale_after,
+                STALE_AFTER,
             )
             job.backend.remove(LOCK_FILE)
             continue
-        if job.clock.now() - start >= deadline:
+        if job.clock.now() - start >= LOCK_DEADLINE:
             holder = existing.owner if existing else "<unknown>"
             raise LockContentionError(
-                f"{job.path}: lock held by {holder}, gave up after {deadline}s"
+                f"{job.path}: lock held by {holder}, gave up after {LOCK_DEADLINE}s"
             )
-        job.clock.sleep(backoff)
+        job.clock.sleep(LOCK_BACKOFF)
 
 
 def release_lock(job: JobDirectory, handle: LockHandle) -> None:
@@ -610,31 +600,18 @@ def commit_line(version: int, change: ChangeProposal) -> str:
 
 
 def commit_update(
-    job: JobDirectory,
-    expected_version: int,
-    new_state: BestState,
-    *,
-    change: ChangeProposal | None = None,
-    stale_after: float = DEFAULT_STALE_AFTER,
-    deadline: float = DEFAULT_LOCK_DEADLINE,
-    backoff: float = DEFAULT_LOCK_BACKOFF,
+    job: JobDirectory, new_state: BestState, *, change: ChangeProposal | None = None
 ) -> CommitResult:
-    """Compare-and-swap on the best record.
+    """Compare-and-swap on the best record, keyed by ``new_state.version``.
 
-    Under the lock: if the stored version equals expected_version, replace
-    the record atomically and append the audit line; otherwise write nothing
-    and return the freshly read current record.
+    Under the lock: if ``new_state`` follows the stored version, replace the
+    record atomically and append the audit line for ``change``; otherwise
+    write nothing and return the freshly read current record.
     """
-    if new_state.version != expected_version + 1:
-        raise ValueError(
-            f"new_state.version={new_state.version}, expected {expected_version + 1}"
-        )
-    handle = acquire_lock(
-        job, new_state.updated_by, stale_after, deadline=deadline, backoff=backoff
-    )
+    handle = acquire_lock(job, new_state.updated_by)
     try:
         current = read_best(job)
-        if current.version != expected_version:
+        if current.version + 1 != new_state.version:
             return VersionConflict(current=current)
         job.backend.write_atomic(BEST_FILE, serialize_best(new_state))
         if change is not None:

@@ -23,9 +23,9 @@ from .coordination import FormatError
 
 Config = tuple[int, ...]
 
-# Returns True to continue, False to abandon the evaluation.  The argument is
-# the estimated fraction of work done so far.
-Checkpoint = Callable[[float], bool]
+# Asked by an objective between slices of its work: True to continue, False
+# to abandon the evaluation.  An objective that works in one step never asks.
+Checkpoint = Callable[[], bool]
 
 
 class EvaluationAborted(Exception):
@@ -71,8 +71,6 @@ class PhaseMaskObjective:
 
     def evaluate(self, config: Config, checkpoint: Checkpoint | None = None) -> float:
         validate_config(config, self.length, self.level_count)
-        if checkpoint is not None and not checkpoint(0.0):
-            raise EvaluationAborted("stop requested before evaluation")
         return efficiency(config, self.level_count, self.target_order)
 
 

@@ -184,7 +184,6 @@ def initialize(
     initial_config: Config,
     objective: Objective,
     *,
-    worker_id: str = "master",
     force: bool = False,
 ) -> BestState:
     """Evaluate the starting configuration and publish it as version 0.
@@ -200,7 +199,7 @@ def initialize(
         config=config,
         performance=performance,
         estimated=False,
-        updated_by=worker_id,
+        updated_by="master",
         updated_at=job.clock.now(),
     )
     publish_initial(job, state, force=force)
@@ -247,8 +246,8 @@ def evaluate_and_merge(
 
     Raises :class:`EvaluationAborted` when a checkpoint (signal gone, or the
     caller's cancel check) interrupts the evaluation; nothing is written.
-    The signal is read only where it can change the outcome: at real
-    mid-evaluation checkpoints, and once before a merge.  A not-better
+    The signal is read only where it can change the outcome: at checkpoints
+    between slices of the evaluation, and once before a merge.  A not-better
     result writes nothing, so after the evaluation only ``cancel`` can void
     it.
     """
@@ -258,12 +257,8 @@ def evaluate_and_merge(
     def cancelled() -> bool:
         return cancel is not None and cancel()
 
-    def checkpoint(fraction: float) -> bool:
-        if cancelled():
-            return False
-        if fraction <= 0.0 or fraction >= 1.0:
-            return True  # no work to save yet, or the pre-merge check follows
-        return check_stop_during_evaluation(job)
+    def checkpoint() -> bool:
+        return not cancelled() and check_stop_during_evaluation(job)
 
     measured = objective.evaluate(candidate, checkpoint)
     if cancelled():
@@ -276,14 +271,7 @@ def evaluate_and_merge(
         raise EvaluationAborted("stop requested after evaluation")
 
     delta = measured - base.performance
-    proposal = ChangeProposal(
-        base_version=base.version,
-        index=index,
-        new_value=new_value,
-        measured_performance=measured,
-        delta=delta,
-        proposer=proposer,
-    )
+    proposal = ChangeProposal(index=index, new_value=new_value, delta=delta, proposer=proposer)
 
     latest = _io_retry(job, lambda: read_best(job))
     for _ in range(MERGE_MAX_RETRIES + 1):
@@ -309,7 +297,7 @@ def evaluate_and_merge(
             updated_at=job.clock.now(),
         )
         try:
-            result = commit_update(job, latest.version, new_state, change=proposal)
+            result = commit_update(job, new_state, change=proposal)
         except LockContentionError as exc:
             # Under extreme coordination load the commit may never get its
             # turn; the measured result is then just another wasted analysis.

@@ -15,10 +15,10 @@ and hands the baton directly to whoever is due next, without a relay
 through the main thread.  All task threads are pinned to one CPU of the
 caller's allowed set: only one of them can run at a time anyway, and a
 baton passed to a thread asleep on another core costs a cross-core wake-up,
-which dominated the simulator's wall time.  Ties in event time break by
-(time, worker id, event kind), so a run is a pure function of (fleet, job
-setup, sim config, seed) and reports compare bit-for-bit across runs and
-across directory backends.
+which dominated the simulator's wall time.  Events run in (time, worker
+id) order, and a task has at most one queued event, so a run is a pure
+function of (fleet, job setup, sim config, seed) and reports compare
+bit-for-bit across runs and across directory backends.
 
 A sleep (an evaluation slice, a poll interval, a lock backoff) is not a
 scheduling point: the sleeping task's clock runs ahead of the queue, and
@@ -342,9 +342,8 @@ class ClockedObjective:
         dt = self._duration / self._slices
         for i in range(self._slices):
             self._clock.sleep(dt)
-            if checkpoint is not None and i < self._slices - 1:
-                if not checkpoint((i + 1) / self._slices):
-                    raise EvaluationAborted("evaluation interrupted")
+            if checkpoint is not None and i < self._slices - 1 and not checkpoint():
+                raise EvaluationAborted("evaluation interrupted")
         return self._inner.evaluate(config)
 
 
@@ -663,8 +662,8 @@ def _build_report(fleet, setup, sim, kernel, store, records, events, stats) -> S
 # Canned studies
 
 
-def homogeneous_fleet(count: int, *, poll_interval: float = 600.0) -> tuple[SimWorker, ...]:
-    return tuple(SimWorker(id=f"w{i:03d}", poll_interval=poll_interval) for i in range(count))
+def homogeneous_fleet(count: int) -> tuple[SimWorker, ...]:
+    return tuple(SimWorker(id=f"w{i:03d}") for i in range(count))
 
 
 def sweep_fleet_size(
@@ -815,20 +814,24 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(line)
         return 0
 
-    sim = SimConfig(
-        t_eval=args.t_eval,
-        t_io=args.t_io,
-        seed=args.seed,
-        stop=StopCondition(max_total_evaluations=args.max_evals),
-    )
-    setup = default_setup(
-        n=args.n,
-        levels=args.levels,
-        target_order=args.target_order,
-        mode=OptimizerMode.parse(args.mode),
-        init_seed=args.seed,
-    )
-    rows = sweep_fleet_size(args.max_p, sim, setup)
+    try:
+        sim = SimConfig(
+            t_eval=args.t_eval,
+            t_io=args.t_io,
+            seed=args.seed,
+            stop=StopCondition(max_total_evaluations=args.max_evals),
+        )
+        setup = default_setup(
+            n=args.n,
+            levels=args.levels,
+            target_order=args.target_order,
+            mode=OptimizerMode.parse(args.mode),
+            init_seed=args.seed,
+        )
+        rows = sweep_fleet_size(args.max_p, sim, setup)
+    except ValueError as exc:
+        print(f"error=sweep {exc}", file=sys.stderr)
+        return 2
     for p, report in rows:
         print(
             f"p={p} speedup={report.speedup:.6f} efficiency={report.efficiency:.6f} "

@@ -88,22 +88,25 @@ class TraceProbe:
 class SystemIdleProbe:
     """Best-effort real idle time.  Uses xprintidle when present; otherwise
     reports time since this probe was created, which effectively treats the
-    machine as always idle.  Correctness-critical paths never rely on this;
-    tests and the simulator use scripted traces."""
+    machine as always idle.  A missing xprintidle is not looked for again.
+    Correctness-critical paths never rely on this; tests and the simulator
+    use scripted traces."""
 
     def __init__(self):
         self._origin = time.time()
         self._warned = False
+        self._missing = False
 
     def idle_duration(self, now: float) -> float:
-        try:
-            out = subprocess.run(
-                ["xprintidle"], capture_output=True, text=True, timeout=2.0
-            )
-            if out.returncode == 0:
-                return float(out.stdout.strip()) / 1000.0
-        except (OSError, ValueError, subprocess.TimeoutExpired):
-            pass
+        if not self._missing:
+            try:
+                out = subprocess.run(["xprintidle"], capture_output=True, text=True, timeout=2.0)
+                if out.returncode == 0:
+                    return float(out.stdout.strip()) / 1000.0
+            except FileNotFoundError:
+                self._missing = True
+            except (OSError, ValueError, subprocess.TimeoutExpired):
+                pass
         if not self._warned:
             log.warning("no system idle source available; assuming idle since startup")
             self._warned = True

@@ -10,6 +10,7 @@ import multiprocessing
 import random
 import time
 
+from idleclimb import coordination
 from idleclimb.clock import VirtualClock, WallClock
 from idleclimb.coordination import (
     BestState,
@@ -164,7 +165,7 @@ def test_04_crash_safety_fuzz(tmp_path):
             clock=clock, job_id="crash",
         )
         try:
-            result = commit_update(wrapped, current.version, candidate)
+            result = commit_update(wrapped, candidate)
             if isinstance(result, Committed):
                 committed.add(serialize_best(candidate))
         except CrashInjected:
@@ -192,19 +193,20 @@ def _cas_contender(path, slot, rounds, barrier, queue):
     for r in range(rounds):
         barrier.wait()
         result = commit_update(
-            job, r,
+            job,
             BestState(version=r + 1, config=(r + 1,), performance=float(r + 1),
                       estimated=False, updated_by=f"p{slot}", updated_at=0.0),
-            backoff=0.002,
         )
         outcomes.append(isinstance(result, Committed))
     queue.put((slot, outcomes))
 
 
-def test_05_cas_soundness_across_processes(tmp_path):
+def test_05_cas_soundness_across_processes(tmp_path, monkeypatch):
     """8 real processes race commit_update on a shared directory for 200
     rounds; every round has exactly one winner."""
     started = time.monotonic()
+    # Set before forking, so the contenders inherit it.
+    monkeypatch.setattr(coordination, "LOCK_BACKOFF", 0.002)
     path = str(tmp_path / "casjob")
     job = JobDirectory.create(path, "cas")
     publish_initial(job, BestState(version=0, config=(0,), performance=0.0,

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CrashInjected, CrashInjectionBackend
+from idleclimb import coordination
 from idleclimb.clock import VirtualClock, WallClock
 from idleclimb.coordination import (
     BEST_FILE,
@@ -59,9 +60,8 @@ def state(version=0, config=(0, 0, 0, 0), performance=1.0, estimated=False,
                      estimated=estimated, updated_by=updated_by, updated_at=updated_at)
 
 
-def proposal(base_version=0, index=0, new_value=1, measured=1.5, delta=0.5, proposer="w"):
-    return ChangeProposal(base_version=base_version, index=index, new_value=new_value,
-                          measured_performance=measured, delta=delta, proposer=proposer)
+def proposal(index=0, new_value=1, delta=0.5, proposer="w"):
+    return ChangeProposal(index=index, new_value=new_value, delta=delta, proposer=proposer)
 
 
 class TestSignal:
@@ -199,7 +199,7 @@ class TestCommit:
     def test_cas_success(self, mem_job):
         job = mem_job()
         publish_initial(job, state(performance=1.0))
-        result = commit_update(job, 0, state(version=1, performance=1.5, updated_by="w"),
+        result = commit_update(job, state(version=1, performance=1.5, updated_by="w"),
                                change=proposal())
         assert isinstance(result, Committed)
         assert read_best(job).version == 1
@@ -209,23 +209,32 @@ class TestCommit:
         job = mem_job()
         publish_initial(job, state(performance=1.0))
         for v in range(5):
-            commit_update(job, v, state(version=v + 1, performance=1.0 + v + 1))
+            commit_update(job, state(version=v + 1, performance=1.0 + v + 1))
         before = job.backend.read_text(BEST_FILE)
-        result = commit_update(job, 3, state(version=4, performance=9.0))
+        result = commit_update(job, state(version=4, performance=9.0))
         assert isinstance(result, VersionConflict)
         assert result.current.version == 5
         assert job.backend.read_text(BEST_FILE) == before
 
     def test_version_precondition(self, mem_job):
+        """A record that does not follow the stored version is a conflict,
+        and nothing is written."""
         job = mem_job()
         publish_initial(job, state())
-        with pytest.raises(ValueError):
-            commit_update(job, 0, state(version=2, performance=2.0))
+        before = job.backend.read_text(BEST_FILE)
+        for version in (0, 2):
+            result = commit_update(job, state(version=version, performance=2.0),
+                                   change=proposal())
+            assert isinstance(result, VersionConflict)
+            assert result.current.version == 0
+        assert job.backend.read_text(BEST_FILE) == before
+        assert read_commit_log(job) == []
+        assert not job.backend.exists(LOCK_FILE)
 
     def test_commit_log_format(self, mem_job):
         job = mem_job()
         publish_initial(job, state(performance=1.0))
-        commit_update(job, 0, state(version=1, performance=1.5),
+        commit_update(job, state(version=1, performance=1.5),
                       change=proposal(index=2, new_value=1, delta=0.5, proposer="pc1"))
         log = read_commit_log(job)
         assert log == [(1, 2, 1, 0.5, "pc1")]
@@ -233,7 +242,7 @@ class TestCommit:
     def test_a_malformed_commit_line_is_a_format_error(self, mem_job):
         job = mem_job()
         publish_initial(job, state(performance=1.0))
-        commit_update(job, 0, state(version=1, performance=1.5), change=proposal())
+        commit_update(job, state(version=1, performance=1.5), change=proposal())
         job.backend.append_line(CHANGES_FILE, "1 2 x 0.5 w1")
         number = len(job.backend.read_text(CHANGES_FILE).splitlines())
         with pytest.raises(FormatError, match=f"line {number} "):
@@ -266,8 +275,8 @@ class TestCommit:
 
         def writer():
             for v in range(300):
-                commit_update(job, v, state(version=v + 1, performance=float(v + 1),
-                                            updated_by="writer", updated_at=float(v)))
+                commit_update(job, state(version=v + 1, performance=float(v + 1),
+                                         updated_by="writer", updated_at=float(v)))
             stop.set()
 
         threads = [threading.Thread(target=reader, args=(i,)) for i in range(2)]
@@ -286,33 +295,56 @@ class TestCommit:
 class TestLock:
     def test_acquire_creates_lock_file(self, mem_job):
         job = mem_job()
-        handle = acquire_lock(job, "a", stale_after=30)
+        handle = acquire_lock(job, "a")
         assert job.backend.exists(LOCK_FILE)
         release_lock(job, handle)
         assert not job.backend.exists(LOCK_FILE)
 
-    def test_fresh_lock_excludes_until_deadline(self, mem_job):
+    def test_fresh_lock_excludes_until_deadline(self, mem_job, monkeypatch):
+        monkeypatch.setattr(coordination, "STALE_AFTER", 1000.0)
         job = mem_job()
-        acquire_lock(job, "b", stale_after=1000)
+        acquire_lock(job, "b")
+        start = job.clock.now()
         with pytest.raises(LockContentionError, match="held by b"):
-            acquire_lock(job, "a", stale_after=1000, deadline=1.0, backoff=0.1)
+            acquire_lock(job, "a")
+        assert job.clock.now() - start >= coordination.LOCK_DEADLINE
 
     def test_stale_lock_broken_and_logged(self, mem_job, caplog):
         job = mem_job()
         job.clock.sleep(500.0)  # now = 500
-        stale = acquire_lock(job, "dead", stale_after=30)
+        stale = acquire_lock(job, "dead")
         del stale
-        job.clock.sleep(300.0)  # 10x older than stale_after
+        job.clock.sleep(300.0)  # 10x older than STALE_AFTER
         with caplog.at_level("WARNING"):
-            handle = acquire_lock(job, "alive", stale_after=30)
+            handle = acquire_lock(job, "alive")
         assert handle.owner == "alive"
         assert any("breaking stale lock" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("declared", ["stale_after=1000\n", ""])
+    def test_stale_lock_judged_by_protocol_constant(self, mem_job, declared):
+        """The breaker ignores the holder's declared stale_after, and a lock
+        without one parses: either is broken once older than STALE_AFTER."""
+        job = mem_job()
+        job.backend.create_exclusive(LOCK_FILE, f"owner=old\nacquired_at=0\n{declared}")
+        assert _parse_lock(job.backend.read_text(LOCK_FILE)).owner == "old"
+        job.clock.sleep(coordination.STALE_AFTER + 1.0)
+        start = job.clock.now()
+        handle = acquire_lock(job, "new")
+        assert handle.owner == "new" and job.clock.now() == start
+        assert _parse_lock(job.backend.read_text(LOCK_FILE)) == handle
+
+    def test_lock_file_keeps_its_format(self, mem_job):
+        job = mem_job()
+        acquire_lock(job, "a")
+        fields = parse_fields(job.backend.read_text(LOCK_FILE), LOCK_FILE)
+        assert fields == {"owner": "a", "acquired_at": "0",
+                          "stale_after": f"{coordination.STALE_AFTER:.17g}"}
+
     def test_release_after_break_is_noop(self, mem_job, caplog):
         job = mem_job()
-        handle = acquire_lock(job, "a", stale_after=30)
+        handle = acquire_lock(job, "a")
         job.clock.sleep(100.0)
-        other = acquire_lock(job, "b", stale_after=30)  # breaks a's stale lock
+        other = acquire_lock(job, "b")  # breaks a's stale lock
         with caplog.at_level("WARNING"):
             release_lock(job, handle)  # must not remove b's lock
         assert job.backend.exists(LOCK_FILE)
@@ -321,14 +353,15 @@ class TestLock:
 
     def test_double_release_is_noop(self, mem_job):
         job = mem_job()
-        handle = acquire_lock(job, "a", stale_after=30)
+        handle = acquire_lock(job, "a")
         release_lock(job, handle)
         release_lock(job, handle)  # second call: warning only
 
-    def test_kill_between_acquire_and_write_recovers(self, tmp_path):
+    def test_kill_between_acquire_and_write_recovers(self, tmp_path, monkeypatch):
         """A worker killed while holding the lock must not wedge the fleet:
         the next committer breaks the stale lock and proceeds, and the best
         record still holds the pre-crash value."""
+        monkeypatch.setattr(coordination, "STALE_AFTER", 0.5)
         path = str(tmp_path / "job")
         job = JobDirectory.create(path, "kill")
         publish_initial(job, state(performance=1.0))
@@ -341,15 +374,14 @@ class TestLock:
         child.join(timeout=10.0)
 
         assert read_best(job).performance == 1.0  # pre-crash record intact
-        result = commit_update(job, 0, state(version=1, performance=2.0),
-                               stale_after=0.5, backoff=0.05)
+        result = commit_update(job, state(version=1, performance=2.0))
         assert isinstance(result, Committed)
         assert read_best(job).version == 1
 
 
 def _hold_lock_forever(path, ready):
     job = JobDirectory(backend=FsBackend(path), clock=WallClock(), job_id="kill")
-    acquire_lock(job, "doomed", stale_after=0.5)
+    acquire_lock(job, "doomed")
     ready.set()
     time.sleep(60.0)
 
@@ -371,7 +403,7 @@ class TestCrashInjection:
                 clock=VirtualClock(), job_id="crash",
             )
             try:
-                result = commit_update(wrapped, 0, next_state, change=proposal())
+                result = commit_update(wrapped, next_state, change=proposal())
                 if isinstance(result, Committed):
                     committed.add(serialize_best(next_state))
             except CrashInjected:
@@ -384,14 +416,15 @@ class TestCrashInjection:
             recovery_clock = VirtualClock(1000.0)
             recovered = JobDirectory(backend=FsBackend(path), clock=recovery_clock,
                                      job_id="crash")
-            result = commit_update(recovered, stored.version, follow_up, stale_after=30)
+            result = commit_update(recovered, follow_up)
             assert isinstance(result, Committed)
 
 
 class TestCasSoundness:
-    def test_concurrent_threads_one_winner_per_version(self, tmp_path):
+    def test_concurrent_threads_one_winner_per_version(self, tmp_path, monkeypatch):
         # Real clock: contention backoff and stale-age math need real sleeps
         # once several threads race the same lock.
+        monkeypatch.setattr(coordination, "LOCK_BACKOFF", 0.002)
         job = JobDirectory.create(str(tmp_path / "cas"), "cas")
         publish_initial(job, state(performance=0.0))
         rounds = 25
@@ -403,9 +436,7 @@ class TestCasSoundness:
             for r in range(rounds):
                 barrier.wait()
                 result = commit_update(
-                    job, r, state(version=r + 1, performance=float(r + 1),
-                                  updated_by=f"t{slot}"),
-                    backoff=0.002,
+                    job, state(version=r + 1, performance=float(r + 1), updated_by=f"t{slot}")
                 )
                 outcomes[r][slot] = result
 
@@ -437,7 +468,7 @@ class TestTallyAndManifest:
         job = mem_job()
         publish_initial(job, state(performance=1.0))
         append_tally(job, "w1", WorkerTally(evaluations=1))
-        commit_update(job, 0, state(version=1, performance=2.0), change=proposal())
+        commit_update(job, state(version=1, performance=2.0), change=proposal())
         append_tally(job, "w1", WorkerTally(evaluations=2))
         assert len(read_commit_log(job)) == 1
 
@@ -573,9 +604,9 @@ class TestTallyReader:
     def test_commit_lines_are_skipped(self, mem_job):
         job = mem_job()
         publish_initial(job, state(performance=1.0))
-        commit_update(job, 0, state(version=1, performance=2.0), change=proposal())
+        commit_update(job, state(version=1, performance=2.0), change=proposal())
         append_tally(job, "w", WorkerTally(evaluations=2, commits=1))
-        commit_update(job, 1, state(version=2, performance=3.0), change=proposal(base_version=1))
+        commit_update(job, state(version=2, performance=3.0), change=proposal())
         assert len(read_commit_log(job)) == 2
         assert read_fleet_tally(job) == {"w": WorkerTally(evaluations=2, commits=1)}
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from idleclimb.coordination import FormatError
 from idleclimb.objective import (
-    EvaluationAborted,
     PhaseMaskObjective,
     efficiency,
     from_manifest,
@@ -86,11 +85,6 @@ class TestEvaluate:
             obj.evaluate((0, 0, 0))
         with pytest.raises(ValueError):
             obj.evaluate((0, 0, 0, 2))
-
-    def test_checkpoint_abort(self):
-        obj = PhaseMaskObjective(length=4, level_count=2, target_order=0)
-        with pytest.raises(EvaluationAborted):
-            obj.evaluate((0, 0, 0, 0), checkpoint=lambda frac: False)
 
     def test_purity_bit_identical(self):
         obj = PhaseMaskObjective(length=16, level_count=4, target_order=5)

@@ -43,6 +43,7 @@ from idleclimb.optimizer import (
     propose,
     work_loop,
 )
+from idleclimb.simharness import ClockedObjective
 
 OBJ8 = PhaseMaskObjective(length=8, level_count=2, target_order=1)
 
@@ -233,17 +234,21 @@ class TestEvaluateAndMerge:
         job = fresh_job(mem_job)
         base = read_best(job)
         calls = {"n": 0}
+        # Two slices of one second: one checkpoint between them.
+        obj = ClockedObjective(OBJ8, job.clock, duration=2.0, checkpoint_fraction=0.5)
 
         def cancel_after_evaluation():
-            # First checkpoint happens inside evaluate (fraction 0.0); the
+            # The first check is the checkpoint between the two slices; the
             # second is the pre-merge check.  Cancel only at the second.
             calls["n"] += 1
             return calls["n"] >= 2
 
         with pytest.raises(EvaluationAborted):
-            evaluate_and_merge(job, base, (4, 1), OBJ8,
+            evaluate_and_merge(job, base, (4, 1), obj,
                                OptimizerMode.REPLACE_IF_BETTER,
                                cancel=cancel_after_evaluation)
+        assert calls["n"] == 2
+        assert job.clock.now() == 2.0  # the whole evaluation ran
         assert read_best(job).version == 0
 
 
@@ -295,16 +300,20 @@ class TestWorkLoop:
     def test_cancellation_discards_in_flight_work(self, mem_job):
         job = fresh_job(mem_job)
         seen = {"checks": 0}
+        # Ten slices of one second, with a checkpoint between each two.
+        obj = ClockedObjective(OBJ8, job.clock, duration=10.0)
 
         def cancel():
-            # Let the loop pass its entry checks, then cancel inside the
-            # first evaluation's checkpoint.
+            # Let the loop pass its entry check, then cancel at the first
+            # evaluation's first checkpoint.
             seen["checks"] += 1
-            return seen["checks"] > 2
+            return seen["checks"] > 1
 
-        report = work_loop(job, "w", OBJ8, OptimizerMode.REPLACE_IF_BETTER,
+        report = work_loop(job, "w", obj, OptimizerMode.REPLACE_IF_BETTER,
                            StopCondition(), cancel, rng=random.Random(0))
         assert report.exit_reason == "cancelled"
+        assert (report.aborted, report.evaluations) == (1, 0)
+        assert job.clock.now() == 1.0  # one slice ran, then the abort
         assert read_best(job).version == 0  # nothing written
 
     @pytest.mark.parametrize("stagnation", [10, 0])
@@ -337,7 +346,7 @@ class TestWorkLoop:
             def evaluate(self, config, checkpoint=None):
                 self.calls += 1
                 if self.calls == 6:
-                    commit_update(job, 0, replace(optimum, version=1, updated_by="other"))
+                    commit_update(job, replace(optimum, version=1, updated_by="other"))
                 return OBJ8.evaluate(config, checkpoint)
 
         seen = []
@@ -391,7 +400,7 @@ class TestWorkLoop:
 
 class SleepingObjective:
     """Spends ``duration`` of virtual time per evaluation, then scores with
-    the wrapped objective (which checks ``checkpoint(0.0)`` first)."""
+    the wrapped objective."""
 
     def __init__(self, inner, clock, duration):
         self._inner = inner

@@ -320,7 +320,8 @@ class TestInterruption:
         """w000 rejoins the job after each of five kills; its tally on the
         share counts the evaluations of all its loops, not only the last."""
         backend = MemBackend()
-        report = run_sim(homogeneous_fleet(4, poll_interval=5), default_setup(),
+        fleet = tuple(SimWorker(id=f"w{i:03d}", poll_interval=5) for i in range(4))
+        report = run_sim(fleet, default_setup(),
                          small_sim(seed=1, evals=200),
                          kill_schedule=[("w000", t) for t in (3.5, 10.5, 17.5, 24.5, 31.5)],
                          backend=backend)
@@ -431,6 +432,17 @@ kill=day@42.5
         bad = tmp_path / "bad.txt"
         bad.write_text("nope\n")
         assert simharness.main(["run", "--scenario", str(bad)]) == 2
+
+    @pytest.mark.parametrize("bad", [["--max-p", "0"], ["--max-p", "1", "--t-eval", "0"],
+                                     ["--max-p", "1", "--mode", "nope"]])
+    def test_cli_bad_sweep_parameter_exit_2(self, capsys, bad):
+        from idleclimb import simharness
+
+        assert simharness.main(["sweep", "--max-evals", "5", *bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error=")
 
 
 class ObjectiveCrashed(Exception):

@@ -247,6 +247,54 @@ class TestDaemonTraces:
         assert "unknown objective" in caplog.text
 
 
+class CountingProbe:
+    """A scripted probe that counts its calls."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = 0
+
+    def idle_duration(self, now):
+        self.calls += 1
+        return self._inner.idle_duration(now)
+
+
+class TestIdleProbeCalls:
+    def test_a_job_reads_the_probe_twice_per_evaluation(self):
+        """One read per scheduler tick, then per evaluation one at its loop
+        top and one after it, plus the final loop top that stops the job."""
+        clock = VirtualClock(TWO_PM)
+        job = make_job(clock)
+        probe = CountingProbe(TraceProbe(idle_since=NOON))
+        n = 40
+        report = run_daemon(config_for(job), probe, clock,
+                            cancel=lambda: clock.now() >= TWO_PM + 1800.0,
+                            objective_for=lambda j: OBJ,
+                            stop_for=lambda j: StopCondition(max_total_evaluations=n),
+                            rng=random.Random(5))
+        assert report.completed_loops == 1
+        assert report.loop_reports[0].evaluations == n
+        assert probe.calls == report.ticks + 2 * n + 1
+
+    def test_a_missing_xprintidle_is_looked_for_once(self, monkeypatch, caplog):
+        from idleclimb import worker
+
+        spawns = []
+
+        def run(argv, **kwargs):
+            spawns.append(argv)
+            raise FileNotFoundError(argv[0])
+
+        monkeypatch.setattr(worker.subprocess, "run", run)
+        probe = worker.SystemIdleProbe()
+        origin = probe._origin
+        with caplog.at_level("WARNING"):
+            idle = [probe.idle_duration(origin + k) for k in range(50)]
+        assert len(spawns) <= 1
+        assert idle == [float(k) for k in range(50)]
+        assert caplog.text.count("no system idle source") == 1
+
+
 class TestConfigParsing:
     def test_round_trip_with_defaults(self):
         config = parse_worker_config(
