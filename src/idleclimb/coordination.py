@@ -153,14 +153,22 @@ class FsBackend:
         return os.path.join(self.path, name)
 
     def exists(self, name: str) -> bool:
-        if not os.path.isdir(self.path):
-            raise ShareUnreachableError(f"job directory unreachable: {self.path}")
-        return os.path.exists(self._full(name))
+        """One ``stat`` when the file is there; only a failed one looks at the
+        directory, to tell a missing file from an unreachable share."""
+        try:
+            os.stat(self._full(name))
+            return True
+        except (OSError, ValueError):
+            if not os.path.isdir(self.path):
+                raise ShareUnreachableError(f"job directory unreachable: {self.path}") from None
+            return False
 
     def read_text(self, name: str) -> str:
+        """The whole file, decoded as UTF-8 with bad bytes replaced and line
+        endings kept as they are."""
         try:
-            with open(self._full(name), "r", encoding="utf-8", errors="replace", newline="") as fh:
-                return fh.read()
+            with open(self._full(name), "rb") as fh:
+                return fh.read().decode("utf-8", "replace")
         except FileNotFoundError:
             raise
         except OSError as exc:

@@ -13,6 +13,7 @@ power it diffracts into a chosen far-field order:
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Protocol
@@ -75,11 +76,24 @@ class PhaseMaskObjective:
 
 
 def efficiency(config: Config, level_count: int, order: int) -> float:
+    """Diffraction efficiency of ``config`` into ``order``.  Every level must
+    lie in ``[0, level_count)``: they index a table, so a level outside it is
+    not checked here (:meth:`PhaseMaskObjective.evaluate` validates first)."""
     n = len(config)
-    amplitudes = np.exp(2j * np.pi * np.asarray(config, dtype=np.float64) / level_count)
-    phasor = np.exp(-2j * np.pi * order * np.arange(n) / n)
-    coeff = np.dot(amplitudes, phasor)
+    levels, phasor = _tables(n, level_count, order)
+    coeff = np.dot(levels.take(config), phasor)
     return float(abs(coeff) ** 2) / n**2
+
+
+@functools.lru_cache(maxsize=64)
+def _tables(n: int, level_count: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The L level phasors exp(2*pi*i*c/L) and the order's DFT row, computed
+    once per (n, L, order) with the same numpy expressions a direct
+    evaluation would use, so a sum over them is bit-identical to one."""
+    levels = np.exp(2j * np.pi * np.arange(level_count, dtype=np.float64) / level_count)
+    phasor = np.exp(-2j * np.pi * order * np.arange(n) / n)
+    levels.flags.writeable = phasor.flags.writeable = False
+    return levels, phasor
 
 
 def initial_config(obj: Objective, kind: str, seed: int) -> Config:

@@ -803,13 +803,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"error=scenario {exc}", file=sys.stderr)
             return 2
-        report = run_sim(
-            scenario.fleet,
-            scenario.setup,
-            scenario.sim,
-            kill_schedule=scenario.kill_schedule,
-            clear_signal_at=scenario.clear_signal_at,
-        )
+        try:
+            # run_sim rejects what parses but cannot run: a duplicate worker
+            # id, a kill naming no worker.
+            report = run_sim(
+                scenario.fleet,
+                scenario.setup,
+                scenario.sim,
+                kill_schedule=scenario.kill_schedule,
+                clear_signal_at=scenario.clear_signal_at,
+            )
+        except ValueError as exc:
+            print(f"error=scenario {exc}", file=sys.stderr)
+            return 2
         for line in report.lines():
             print(line)
         return 0

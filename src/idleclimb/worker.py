@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import logging
+import math
 import os
 import random
 import signal
@@ -85,32 +86,49 @@ class TraceProbe:
         return max(0.0, now - last)
 
 
+# Seconds of ``now`` for which one xprintidle run answers every idle check
+# (its reading plus the time since); a failed run also holds this long.
+IDLE_READING_REUSE = 1.0
+
+
 class SystemIdleProbe:
     """Best-effort real idle time.  Uses xprintidle when present; otherwise
     reports time since this probe was created, which effectively treats the
     machine as always idle.  A missing xprintidle is not looked for again.
-    Correctness-critical paths never rely on this; tests and the simulator
-    use scripted traces."""
+
+    One run serves the checks of the next ``IDLE_READING_REUSE`` seconds: a
+    successful reading is returned plus the time elapsed since it was taken,
+    and after a failed run the fallback answers until then.  A ``now`` earlier
+    than the last run runs xprintidle again.  Correctness-critical paths never
+    rely on this; tests and the simulator use scripted traces."""
 
     def __init__(self):
         self._origin = time.time()
         self._warned = False
         self._missing = False
+        self._read_at = -math.inf  # ``now`` of the last xprintidle run
+        self._reading: float | None = None  # its idle seconds; None if it failed
 
     def idle_duration(self, now: float) -> float:
-        if not self._missing:
-            try:
-                out = subprocess.run(["xprintidle"], capture_output=True, text=True, timeout=2.0)
-                if out.returncode == 0:
-                    return float(out.stdout.strip()) / 1000.0
-            except FileNotFoundError:
-                self._missing = True
-            except (OSError, ValueError, subprocess.TimeoutExpired):
-                pass
+        if not self._missing and not 0.0 <= now - self._read_at < IDLE_READING_REUSE:
+            self._read_at, self._reading = now, self._xprintidle()
+        if self._reading is not None:
+            return self._reading + (now - self._read_at)
         if not self._warned:
             log.warning("no system idle source available; assuming idle since startup")
             self._warned = True
         return now - self._origin
+
+    def _xprintidle(self) -> float | None:
+        try:
+            out = subprocess.run(["xprintidle"], capture_output=True, text=True, timeout=2.0)
+            if out.returncode == 0:
+                return float(out.stdout.strip()) / 1000.0
+        except FileNotFoundError:
+            self._missing = True
+        except (OSError, ValueError, subprocess.TimeoutExpired):
+            pass
+        return None
 
 
 @dataclass(frozen=True)

@@ -734,6 +734,22 @@ class TestMemBackendSemantics:
         fs.append_line("log", "three")
         assert mem.read_tail("log", m_off) == fs.read_tail("log", f_off)
 
+    @pytest.mark.parametrize("raw", [b"a=1\r\nb=2\r\n", b"bad \xff byte\n", "cut é".encode()[:-1]])
+    def test_fs_read_text_matches_a_text_mode_read(self, tmp_path, raw):
+        (tmp_path / "f").write_bytes(raw)
+        with open(tmp_path / "f", "r", encoding="utf-8", errors="replace", newline="") as fh:
+            expected = fh.read()
+        assert FsBackend(str(tmp_path)).read_text("f") == expected
+
+    def test_fs_exists_tells_missing_from_unreachable(self, tmp_path):
+        (tmp_path / "present").write_text("")
+        (tmp_path / "plain").write_text("")
+        assert FsBackend(str(tmp_path)).exists("present") is True
+        assert FsBackend(str(tmp_path)).exists("missing") is False
+        for path in (tmp_path / "gone", tmp_path / "plain"):
+            with pytest.raises(ShareUnreachableError):
+                FsBackend(str(path)).exists("present")
+
     def test_create_exclusive(self):
         mem = MemBackend()
         assert mem.create_exclusive("x", "1")

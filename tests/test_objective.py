@@ -123,6 +123,23 @@ class TestProperties:
                 efficiency(levels, level_count, order), abs=1e-12
             )
 
+    @given(st.integers(min_value=2, max_value=16).flatmap(
+        lambda level_count: st.tuples(
+            st.just(level_count),
+            st.lists(st.integers(0, level_count - 1), min_size=1, max_size=64).map(tuple),
+        )))
+    @settings(max_examples=150)
+    def test_efficiency_is_bit_identical_to_the_direct_sum(self, params):
+        # The tables efficiency() looks up must give exactly what building
+        # every phasor afresh gives: == here, not approx.
+        level_count, levels = params
+        n = len(levels)
+        for order in range(n):
+            amplitudes = np.exp(2j * np.pi * np.asarray(levels, dtype=np.float64) / level_count)
+            phasor = np.exp(-2j * np.pi * order * np.arange(n) / n)
+            direct = float(abs(np.dot(amplitudes, phasor)) ** 2) / n**2
+            assert efficiency(levels, level_count, order) == direct
+
     def test_spectrum_matches_fft(self):
         levels = (0, 1, 3, 2, 1, 0, 2, 3, 1, 1)
         amplitudes = np.exp(2j * np.pi * np.array(levels) / 4)

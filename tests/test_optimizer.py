@@ -610,3 +610,59 @@ def _job_for_seed(seed):
     initialize(job, config, OBJ8)
     signal_set(job)
     return job
+
+
+# The real worker's path over a real directory, bit for bit: sha256 over
+# best.dat, changes.log, the loop report, the proposal records and the
+# backend operation counts.  The clock advances 13 ms at every loop top, so
+# timestamps move and the tally syncs on its interval.  A second worker
+# proposes against a base it read 20 loop tops earlier at every 40th, so the
+# two modes part ways.
+WORKER_PINS = {
+    "change_merge": "48585998980de18d53099127107c7a404fde49e17ead3ec8ccc8a41c4caf412e",
+    "replace_if_better": "7a50fbe89da99296b053394ee763aba8432b135f05eb0be7cba1a27200f7df5a",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(WORKER_PINS))
+def test_real_worker_path_is_pinned(fs_job, mode):
+    import hashlib
+
+    from idleclimb.coordination import CHANGES_FILE
+    from idleclimb.objective import initial_config
+
+    job = fs_job("pin")
+    obj = PhaseMaskObjective(length=64, level_count=4, target_order=3)
+    mode = OptimizerMode.parse(mode)
+    initialize(job, initial_config(obj, "random", 5), obj)
+    signal_set(job)
+    backend = CountingBackend(job.backend)
+    job = replace(job, backend=backend)
+    other_rng, other_base, tops = random.Random(6), None, 0
+
+    def tick():
+        nonlocal other_base, tops
+        tops += 1
+        job.clock.sleep(0.013)
+        if tops % 40 == 20:
+            other_base = read_best(job)
+        elif tops % 40 == 0:
+            change = propose(other_base, obj, other_rng)
+            evaluate_and_merge(job, other_base, change, obj, mode, proposer="x")
+        return False
+
+    records = []
+    report = work_loop(job, "w", obj, mode, StopCondition(max_total_evaluations=2000), tick,
+                       rng=random.Random(5), observer=records.append)
+    assert report.evaluations == 2000
+    digest = hashlib.sha256()
+    for part in (
+        backend.read_text(BEST_FILE),
+        backend.read_text(CHANGES_FILE),
+        repr(report),
+        repr(records),
+        repr(sorted(backend.ops.items())),
+    ):
+        digest.update(part.encode("utf-8"))
+        digest.update(b"\0")
+    assert digest.hexdigest() == WORKER_PINS[mode.value]

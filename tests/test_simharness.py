@@ -426,12 +426,20 @@ kill=day@42.5
         assert lines[0] == "p,speedup,efficiency,wasted_duplicate,wasted_outdated"
         assert len(lines) == 3
 
-    def test_cli_bad_scenario_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["nope\n",
+                                      "worker=id=a\nkill=nobody@5\n",
+                                      "worker=id=a\nworker=id=a\n"],
+                             ids=["unparsable", "unknown_kill", "duplicate_id"])
+    def test_cli_bad_scenario_exit_2(self, tmp_path, capsys, text):
         from idleclimb import simharness
 
         bad = tmp_path / "bad.txt"
-        bad.write_text("nope\n")
+        bad.write_text(text)
         assert simharness.main(["run", "--scenario", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error=scenario ")
 
     @pytest.mark.parametrize("bad", [["--max-p", "0"], ["--max-p", "1", "--t-eval", "0"],
                                      ["--max-p", "1", "--mode", "nope"]])

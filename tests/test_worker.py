@@ -1,6 +1,7 @@
 """Scheduler contract: idle gating, daily window, kills, single instance."""
 
 import random
+import subprocess
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +294,46 @@ class TestIdleProbeCalls:
         assert len(spawns) <= 1
         assert idle == [float(k) for k in range(50)]
         assert caplog.text.count("no system idle source") == 1
+
+    def test_an_xprintidle_reading_serves_the_next_second(self, monkeypatch):
+        from idleclimb import worker
+
+        spawns = []
+
+        def run(argv, **kwargs):
+            spawns.append(argv)
+            return subprocess.CompletedProcess(argv, 0, stdout="2500\n", stderr="")
+
+        monkeypatch.setattr(worker.subprocess, "run", run)
+        probe = worker.SystemIdleProbe()
+        t0 = 1000.0
+        times = [t0 + k / 10 for k in range(10)]
+        assert [probe.idle_duration(t) for t in times] == [2.5 + (t - t0) for t in times]
+        assert len(spawns) == 1
+        assert probe.idle_duration(t0 + 1.0) == 2.5
+        assert len(spawns) == 2
+        assert probe.idle_duration(t0) == 2.5  # a clock stepped back reads again
+        assert len(spawns) == 3
+
+    def test_a_failing_xprintidle_is_retried_after_a_second(self, monkeypatch, caplog):
+        from idleclimb import worker
+
+        spawns = []
+
+        def run(argv, **kwargs):
+            spawns.append(argv)
+            return subprocess.CompletedProcess(argv, 1, stdout="", stderr="no display")
+
+        monkeypatch.setattr(worker.subprocess, "run", run)
+        probe = worker.SystemIdleProbe()
+        origin = probe._origin
+        with caplog.at_level("WARNING"):
+            idle = [probe.idle_duration(origin + k / 10) for k in range(10)]
+        assert len(spawns) == 1
+        assert idle == [origin + k / 10 - origin for k in range(10)]
+        assert caplog.text.count("no system idle source") == 1
+        probe.idle_duration(origin + 1.0)
+        assert len(spawns) == 2
 
 
 class TestConfigParsing:
