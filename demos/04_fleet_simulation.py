@@ -21,6 +21,7 @@ from idleclimb.simharness import (
     ideal_speedup,
     run_sim,
     sweep_fleet_size,
+    write_sweep_csv,
 )
 
 # The pathological study below provokes lots of expected give-up-on-commit
@@ -63,15 +64,7 @@ print("efficiency now *falls* as machines are added: they queue on the "
 
 # Machine-readable output for plotting.
 try:
-    import csv
-
-    with open("sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "speedup", "efficiency", "wasted_duplicate",
-                         "wasted_outdated"])
-        for p, r in rows:
-            writer.writerow([p, r.speedup, r.efficiency, r.wasted_duplicate,
-                             r.wasted_outdated])
+    write_sweep_csv("sweep.csv", rows)
     print("\nwrote sweep.csv")
 except OSError as exc:
     print("skipping CSV:", exc)

@@ -41,7 +41,8 @@ lock file is the only mutual exclusion there is.
 
 Every ``key=value`` file except best.dat (the lock, the manifest, and the
 simulator's scenario and the daemon's configuration files) is read by one
-codec, :func:`parse_fields`.  best.dat keeps its own parser because of its
+codec, :func:`parse_fields`, and its values are converted by one rule,
+:func:`convert_fields`.  best.dat keeps its own parser because of its
 checksum framing.
 """
 
@@ -57,7 +58,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass, replace
-from typing import Mapping, Protocol, Union
+from typing import Any, Callable, Mapping, Protocol, Union
 
 from .clock import Clock, WallClock
 
@@ -409,6 +410,23 @@ def parse_fields(
         else:
             fields[key] = value
     return fields
+
+
+def convert_fields(
+    fields: Mapping[str, Any], kinds: Mapping[str, tuple[str, Callable[[str], Any]]]
+) -> dict[str, Any]:
+    """Keyword arguments from the keys of ``kinds`` present in ``fields``:
+    ``kinds`` maps a key to the argument it fills and the callable that
+    converts its value.  An absent key is left out, so the callee's default
+    applies; a ValueError names the key and the value in a :class:`FormatError`."""
+    arguments = {}
+    for key, (name, kind) in kinds.items():
+        if key in fields:
+            try:
+                arguments[name] = kind(fields[key])
+            except ValueError as exc:
+                raise FormatError(f"{key}={fields[key]!r}: {exc}") from None
+    return arguments
 
 
 # ---------------------------------------------------------------------------

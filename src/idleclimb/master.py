@@ -33,31 +33,20 @@ def _print(key: str, value) -> None:
 
 
 def cmd_init(args) -> int:
-    if args.levels < 2:
-        print("error=levels must be at least 2", file=sys.stderr)
+    # The objective and stop options are manifest keys, read as a manifest's.
+    params = {"objective": "phase_mask", **vars(args)}
+    try:
+        objective = objmod.from_manifest(params)
+        stop = optimizer.StopCondition.from_manifest(params)
+        config = objmod.initial_config(objective, args.init_config, args.seed)
+    except ValueError as exc:
+        print(f"error={exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not 0 <= args.target_order < args.n:
-        print("error=target order must lie in [0, n)", file=sys.stderr)
-        return EXIT_USAGE
-    objective = objmod.PhaseMaskObjective(
-        length=args.n, level_count=args.levels, target_order=args.target_order
-    )
-    stop = optimizer.StopCondition(
-        max_total_evaluations=args.stop_max_evals,
-        target_performance=args.stop_target,
-        stagnation_proposals=args.stop_stagnation,
-    )
     job_id = args.job_id or os.path.basename(os.path.abspath(args.dir))
     job = coord.JobDirectory.create(args.dir, job_id)
-    manifest = {
-        "objective": "phase_mask",
-        "n": str(args.n),
-        "levels": str(args.levels),
-        "target_order": str(args.target_order),
-    }
+    manifest = objective.manifest_params()
     manifest.update(stop.manifest_params())
     coord.write_manifest(job, manifest)
-    config = objmod.initial_config(objective, args.init_config, args.seed)
     state = optimizer.initialize(job, config, objective, force=args.force)
     _print("job_id", job.job_id)
     _print("version", state.version)
@@ -129,15 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_init = sub.add_parser("init", help="write the manifest and version-0 record")
     p_init.add_argument("dir")
-    p_init.add_argument("--n", type=int, default=8, help="mask length")
-    p_init.add_argument("--levels", type=int, default=2, help="number of phase levels")
-    p_init.add_argument("--target-order", type=int, default=1, dest="target_order")
-    p_init.add_argument("--init-config", choices=["zero", "random"], default="zero",
-                        dest="init_config")
+    p_init.add_argument("--n", default="8", help="mask length")
+    p_init.add_argument("--levels", default="2", help="number of phase levels")
+    p_init.add_argument("--target-order", default="1", dest="target_order")
+    p_init.add_argument("--init-config", default="zero", dest="init_config")
     p_init.add_argument("--seed", type=int, default=0)
-    p_init.add_argument("--stop-max-evals", type=int, default=None, dest="stop_max_evals")
-    p_init.add_argument("--stop-target", type=float, default=None, dest="stop_target")
-    p_init.add_argument("--stop-stagnation", type=int, default=None, dest="stop_stagnation")
+    # A stop option left out is left out of the manifest too.
+    p_init.add_argument("--stop-max-evals", default=argparse.SUPPRESS)
+    p_init.add_argument("--stop-target", default=argparse.SUPPRESS)
+    p_init.add_argument("--stop-stagnation", default=argparse.SUPPRESS)
     p_init.add_argument("--job-id", default=None, dest="job_id")
     p_init.add_argument("--force", action="store_true")
     p_init.set_defaults(func=cmd_init)

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Mapping, Protocol
 
 import numpy as np
 
-from .coordination import FormatError
+from .coordination import FormatError, convert_fields
 
 Config = tuple[int, ...]
 
@@ -49,6 +49,10 @@ def validate_config(config: Config, length: int, level_count: int) -> None:
             raise ValueError(f"config[{i}]={v} outside [0, {level_count})")
 
 
+_MANIFEST_KEYS = {"n": ("length", int), "levels": ("level_count", int),
+                  "target_order": ("target_order", int)}
+
+
 @dataclass(frozen=True)
 class PhaseMaskObjective:
     """Diffraction efficiency of an n-element, L-level phase mask into order k.
@@ -74,6 +78,11 @@ class PhaseMaskObjective:
         validate_config(config, self.length, self.level_count)
         return efficiency(config, self.level_count, self.target_order)
 
+    def manifest_params(self) -> dict[str, str]:
+        """The manifest keys :func:`from_manifest` reads back."""
+        fields = {key: str(getattr(self, name)) for key, (name, _kind) in _MANIFEST_KEYS.items()}
+        return {"objective": "phase_mask", **fields}
+
 
 def efficiency(config: Config, level_count: int, order: int) -> float:
     """Diffraction efficiency of ``config`` into ``order``.  Every level must
@@ -98,9 +107,12 @@ def _tables(n: int, level_count: int, order: int) -> tuple[np.ndarray, np.ndarra
 
 def initial_config(obj: Objective, kind: str, seed: int) -> Config:
     """A job's starting configuration: all zeros when ``kind`` is "zero",
-    otherwise uniformly random levels drawn from ``random.Random(seed)``."""
+    uniformly random levels drawn from ``random.Random(seed)`` when it is
+    "random".  Any other kind is a ValueError."""
     if kind == "zero":
         return (0,) * obj.length
+    if kind != "random":
+        raise ValueError(f"unknown initial configuration {kind!r} (expected zero or random)")
     rng = random.Random(seed)
     return tuple(rng.randrange(obj.level_count) for _ in range(obj.length))
 
@@ -119,14 +131,12 @@ def from_manifest(params: Mapping[str, str]) -> PhaseMaskObjective:
     objective, a missing key or a malformed value is a :class:`FormatError`."""
     kind = params.get("objective", "")
     if kind != "phase_mask":
-        raise FormatError(f"unknown objective {kind!r} in manifest")
+        raise FormatError(f"unknown objective {kind!r}")
+    for key in _MANIFEST_KEYS:
+        if key not in params:
+            raise FormatError(f"missing objective key {key!r}")
+    fields = convert_fields(params, _MANIFEST_KEYS)
     try:
-        return PhaseMaskObjective(
-            length=int(params["n"]),
-            level_count=int(params["levels"]),
-            target_order=int(params["target_order"]),
-        )
-    except KeyError as exc:
-        raise FormatError(f"manifest missing objective key {exc}") from exc
+        return PhaseMaskObjective(**fields)
     except ValueError as exc:
-        raise FormatError(f"manifest objective: {exc}") from exc
+        raise FormatError(f"objective: {exc}") from exc

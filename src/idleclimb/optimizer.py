@@ -34,7 +34,6 @@ from .coordination import (
     ChangeProposal,
     Committed,
     CoordinationError,
-    FormatError,
     JobDirectory,
     LockContentionError,
     ShareUnreachableError,
@@ -42,6 +41,7 @@ from .coordination import (
     WorkerTally,
     append_tally,
     commit_update,
+    convert_fields,
     publish_initial,
     read_best,
     signal_clear,
@@ -89,6 +89,11 @@ class MergeOutcome:
         return self.state.version if self.state is not None else None
 
 
+_STOP_KEYS = {"stop_max_evals": ("max_total_evaluations", int),
+              "stop_target": ("target_performance", float),
+              "stop_stagnation": ("stagnation_proposals", int)}
+
+
 @dataclass(frozen=True)
 class StopCondition:
     """Any-of end conditions; all None means manual stop only.
@@ -119,32 +124,15 @@ class StopCondition:
         return False
 
     def manifest_params(self) -> dict[str, str]:
-        params = {}
-        if self.max_total_evaluations is not None:
-            params["stop_max_evals"] = str(self.max_total_evaluations)
-        if self.target_performance is not None:
-            params["stop_target"] = f"{self.target_performance:.17g}"
-        if self.stagnation_proposals is not None:
-            params["stop_stagnation"] = str(self.stagnation_proposals)
-        return params
+        """The stop keys of the conditions set, as :meth:`from_manifest` reads them."""
+        values = {key: getattr(self, name) for key, (name, _kind) in _STOP_KEYS.items()}
+        return {key: str(value) for key, value in values.items() if value is not None}
 
     @staticmethod
     def from_manifest(params: Mapping[str, str]) -> "StopCondition":
         """The stop keys of a manifest; a malformed value is a :class:`FormatError`."""
+        return StopCondition(**convert_fields(params, _STOP_KEYS))
 
-        def value(key: str, kind: type):
-            if key not in params:
-                return None
-            try:
-                return kind(params[key])
-            except ValueError:
-                raise FormatError(f"{key}={params[key]!r} is not {kind.__name__}") from None
-
-        return StopCondition(
-            max_total_evaluations=value("stop_max_evals", int),
-            target_performance=value("stop_target", float),
-            stagnation_proposals=value("stop_stagnation", int),
-        )
 
 
 @dataclass(frozen=True)

@@ -46,14 +46,16 @@ import random
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .clock import SECONDS_PER_DAY
 from .coordination import (
     Backend,
+    FormatError,
     JobDirectory,
     MemBackend,
     SIGNAL_FILE,
+    convert_fields,
     parse_fields,
     read_best,
     signal_clear,
@@ -64,6 +66,7 @@ from .objective import (
     EvaluationAborted,
     Objective,
     PhaseMaskObjective,
+    from_manifest,
     initial_config,
 )
 from .optimizer import (
@@ -78,8 +81,6 @@ from .optimizer import (
 EFFICIENCY_TOLERANCE = 1e-9
 # Share of one evaluation between two mid-evaluation stop checks.
 CHECKPOINT_FRACTION = 0.1
-
-_KIND_RANK = {"io": 0, "eval": 1, "sleep": 2, "spawn": 3}
 
 
 class SimHorizon(Exception):
@@ -131,7 +132,7 @@ class VirtualKernel:
         self.now = 0.0
         self.horizon = horizon
         self.reached = 0.0  # the latest virtual time any task has reached
-        self._heap: list[tuple[float, str, int, int]] = []
+        self._heap: list[tuple[float, str, int]] = []
         self._seq = 0
         self._tasks: dict[str, _Task] = {}
         self._main_baton = threading.Lock()
@@ -166,11 +167,11 @@ class VirtualKernel:
 
         task.thread = threading.Thread(target=body, name=f"sim-{name}", daemon=True)
         task.thread.start()
-        self._push(self.now, name, "spawn")
+        self._push(self.now, name)
 
-    def _push(self, at: float, name: str, kind: str) -> None:
+    def _push(self, at: float, name: str) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (at, name, _KIND_RANK.get(kind, 9), self._seq))
+        heapq.heappush(self._heap, (at, name, self._seq))
 
     def sleep(self, name: str, duration: float) -> None:
         """Let task ``name`` sleep without parking: its time runs ahead of
@@ -185,7 +186,8 @@ class VirtualKernel:
 
     def advance(self, name: str, duration: float, kind: str) -> None:
         """Consume virtual time on behalf of task ``name``, parking it first
-        if any queued event comes before it."""
+        if any queued event comes before it.  ``kind`` is for tracing only: a
+        task has at most one queued event, so (time, name) orders them."""
         at = self.now + (duration if duration > 0.0 else 0.0)
         if self._stopping:
             raise SimHorizon
@@ -195,13 +197,11 @@ class VirtualKernel:
                 self.now = at
                 return
             head = self._heap[0]
-            if at < head[0] or (
-                at == head[0] and (name, _KIND_RANK.get(kind, 9)) < (head[1], head[2])
-            ):
+            if at < head[0] or (at == head[0] and name < head[1]):
                 self.now = at
                 return
         task = self._tasks[name]
-        self._push(at, name, kind)
+        self._push(at, name)
         self._dispatch()
         task.baton.acquire()
         if self._stopping:
@@ -215,7 +215,7 @@ class VirtualKernel:
             self.reached = self.now
         heap = self._heap
         while heap and not self._stopping and heap[0][0] <= self.horizon:
-            at, name, _rank, _seq = heapq.heappop(heap)
+            at, name, _seq = heapq.heappop(heap)
             task = self._tasks[name]
             if not task.done:
                 self.now = at
@@ -395,9 +395,6 @@ class JobSetup:
     init_seed: int = 0
     job_id: str = "sim"
 
-    def initial_config(self) -> Config:
-        return initial_config(self.objective, self.init_config, self.init_seed)
-
 
 @dataclass(frozen=True)
 class WorkerStats:
@@ -497,23 +494,20 @@ def run_sim(
 
     # Initialization happens before the fleet exists, off the virtual clock.
     setup_job = JobDirectory(backend=store, clock=SimClock(kernel, "<setup>"), job_id=setup.job_id)
-    initialize(setup_job, setup.initial_config(), setup.objective)
+    config = initial_config(setup.objective, setup.init_config, setup.init_seed)
+    initialize(setup_job, config, setup.objective)
     signal_set(setup_job)
 
     records: list[ProposalRecord] = []
-    kills: dict[str, list[float]] = {}
-    for wid, at in kill_schedule:
-        kills.setdefault(wid, []).append(at)
-    for times in kills.values():
-        times.sort()
     stats: dict[str, dict] = {
         w.id: {"evaluations": 0, "commits": 0, "aborted": 0, "kills": 0, "quiesce": None}
         for w in fleet
     }
 
     for w in fleet:
+        kill_times = [at for wid, at in kill_schedule if wid == w.id]
         kernel.spawn(w.id, _worker_body(w, kernel, store, setup, sim, records, events,
-                                        kills.get(w.id, []), stats))
+                                        kill_times, stats))
     if clear_signal_at is not None:
         kernel.spawn(
             "<operator>", _operator_body(kernel, store, setup, sim, clear_signal_at, events)
@@ -667,27 +661,22 @@ def homogeneous_fleet(count: int) -> tuple[SimWorker, ...]:
 
 
 def sweep_fleet_size(
-    max_p: int, sim: SimConfig, setup: JobSetup | None = None
+    max_p: int, sim: SimConfig, setup: JobSetup
 ) -> list[tuple[int, SpeedupReport]]:
     """Efficiency as the fleet grows from 1 to max_p identical machines."""
     if max_p < 1:
         raise ValueError("max_p must be at least 1")
-    setup = setup or default_setup()
     rows = []
     for p in range(1, max_p + 1):
         rows.append((p, run_sim(homogeneous_fleet(p), setup, sim)))
     return rows
 
 
-def default_setup(
-    n: int = 16, levels: int = 4, target_order: int = 3,
-    mode: OptimizerMode = OptimizerMode.CHANGE_MERGE, init_seed: int = 0,
-) -> JobSetup:
+def default_setup(n: int = 16, levels: int = 4, target_order: int = 3, **job) -> JobSetup:
+    """The studies' objective; other keyword arguments go to :class:`JobSetup`."""
     return JobSetup(
         objective=PhaseMaskObjective(length=n, level_count=levels, target_order=target_order),
-        mode=mode,
-        init_config="random",
-        init_seed=init_seed,
+        **job,
     )
 
 
@@ -709,58 +698,68 @@ def _parse_interval(token: str) -> tuple[float, float]:
     return (float(lo), math.inf if hi in ("inf", "") else float(hi))
 
 
+_WORKER_KEYS = {
+    "id": ("id", str), "speed": ("speed_factor", float), "poll": ("poll_interval", float),
+    "avail": ("availability", lambda text: tuple(map(_parse_interval, text.split(",")))),
+}
+_SETUP_KEYS = {"mode": ("mode", OptimizerMode.parse), "init_config": ("init_config", str),
+               "init_seed": ("init_seed", int), "job_id": ("job_id", str)}
+_SIM_KEYS = {"t_eval": ("t_eval", float), "t_io": ("t_io", float), "seed": ("seed", int),
+             "horizon": ("horizon", float)}
+
+
 def _parse_worker(value: str) -> SimWorker:
-    fields = dict(tok.split("=", 1) for tok in value.split())
-    availability: tuple[tuple[float, float], ...] = ((0.0, math.inf),)
-    if "avail" in fields:
-        availability = tuple(_parse_interval(t) for t in fields["avail"].split(","))
-    return SimWorker(
-        id=fields["id"],
-        speed_factor=float(fields.get("speed", 1.0)),
-        availability=availability,
-        poll_interval=float(fields.get("poll", 600.0)),
-    )
+    """One ``worker=`` stanza; its tokens are read as key=value lines."""
+    source = f"worker={value!r}"
+    fields = parse_fields("\n".join(value.split()), source)
+    for key in fields:
+        if key not in _WORKER_KEYS:
+            raise FormatError(f"{source}: unknown key {key!r} (expected id, speed, avail or poll)")
+    if "id" not in fields:
+        raise FormatError(f"{source} has no id=")
+    return SimWorker(**convert_fields(fields, _WORKER_KEYS))
+
+
+def _parse_kill(value: str) -> tuple[str, float]:
+    """One ``kill=worker@time`` line."""
+    worker_id, sep, at = value.rpartition("@")
+    if sep:
+        try:
+            return worker_id.strip(), float(at)
+        except ValueError:
+            pass
+    raise FormatError(f"kill={value!r} is not worker@time")
+
+
+def _read_job(values: Mapping[str, Any]) -> tuple[JobSetup, SimConfig]:
+    """The job keys of a scenario, or of ``sim sweep``'s options.  The
+    objective and stop keys are a manifest's; a key left out takes the
+    :func:`default_setup` or dataclass default."""
+    objective = from_manifest({**default_setup().objective.manifest_params(), **values})
+    setup = JobSetup(objective=objective, **convert_fields(values, _SETUP_KEYS))
+    sim = SimConfig(stop=StopCondition.from_manifest(values), **convert_fields(values, _SIM_KEYS))
+    return setup, sim
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse the key=value scenario format (repeated worker= and kill= lines)."""
+    """Parse the key=value scenario format: job keys, repeated worker= and
+    kill= lines, and clear_signal_at."""
     values = parse_fields(text, "scenario", repeated=frozenset({"worker", "kill"}))
-    workers = [_parse_worker(value) for value in values["worker"]]
-    kills = []
-    for value in values["kill"]:
-        wid, at = value.rsplit("@", 1)
-        kills.append((wid.strip(), float(at)))
-    if not workers:
-        raise ValueError("scenario defines no worker= lines")
-    setup = JobSetup(
-        objective=PhaseMaskObjective(
-            length=int(values.get("n", 16)),
-            level_count=int(values.get("levels", 4)),
-            target_order=int(values.get("target_order", 3)),
-        ),
-        mode=OptimizerMode.parse(values.get("mode", "change_merge")),
-        init_config=values.get("init_config", "random"),
-        init_seed=int(values.get("init_seed", 0)),
-        job_id=values.get("job_id", "sim"),
-    )
-    sim = SimConfig(
-        t_eval=float(values.get("t_eval", 1.0)),
-        t_io=float(values.get("t_io", 0.001)),
-        seed=int(values.get("seed", 0)),
-        horizon=float(values.get("horizon", 1e9)),
-        stop=StopCondition.from_manifest(values),
-    )
-    clear_at = float(values["clear_signal_at"]) if "clear_signal_at" in values else None
+    fleet = tuple(_parse_worker(value) for value in values["worker"])
+    if not fleet:
+        raise FormatError("scenario defines no worker= lines")
+    setup, sim = _read_job(values)
     return Scenario(
-        fleet=tuple(workers),
+        fleet=fleet,
         setup=setup,
         sim=sim,
-        kill_schedule=tuple(kills),
-        clear_signal_at=clear_at,
+        kill_schedule=tuple(_parse_kill(value) for value in values["kill"]),
+        **convert_fields(values, {"clear_signal_at": ("clear_signal_at", float)}),
     )
 
 
-def _write_sweep_csv(path: str, rows: list[tuple[int, SpeedupReport]]) -> None:
+def write_sweep_csv(path: str, rows: list[tuple[int, SpeedupReport]]) -> None:
+    """One row per fleet size, numbers as ``sim sweep`` prints them."""
     import csv
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -782,16 +781,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run one scenario file")
     p_run.add_argument("--scenario", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="efficiency sweep over fleet sizes 1..max-p")
-    p_sweep.add_argument("--max-p", type=int, required=True, dest="max_p")
-    p_sweep.add_argument("--t-eval", type=float, default=1.0, dest="t_eval")
-    p_sweep.add_argument("--t-io", type=float, default=0.001, dest="t_io")
-    p_sweep.add_argument("--max-evals", type=int, default=1000, dest="max_evals")
-    p_sweep.add_argument("--seed", type=int, default=1)
-    p_sweep.add_argument("--n", type=int, default=16)
-    p_sweep.add_argument("--levels", type=int, default=4)
-    p_sweep.add_argument("--target-order", type=int, default=3, dest="target_order")
-    p_sweep.add_argument("--mode", default="change_merge")
+    # The sweep's options are scenario keys, read as a scenario's are; one
+    # left out is left out of the namespace too, and takes the default.
+    p_sweep = sub.add_parser("sweep", help="efficiency sweep over fleet sizes 1..max-p",
+                             argument_default=argparse.SUPPRESS)
+    p_sweep.add_argument("--max-p", type=int, required=True)
+    p_sweep.add_argument("--t-eval")
+    p_sweep.add_argument("--t-io")
+    p_sweep.add_argument("--max-evals", dest="stop_max_evals",
+                         default=str(SimConfig.stop.max_total_evaluations))
+    p_sweep.add_argument("--seed", default="1")  # the simulation's and the initial config's
+    p_sweep.add_argument("--n")
+    p_sweep.add_argument("--levels")
+    p_sweep.add_argument("--target-order")
+    p_sweep.add_argument("--mode")
     p_sweep.add_argument("--csv", default=None)
 
     args = parser.parse_args(argv)
@@ -800,12 +803,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             with open(args.scenario, "r", encoding="utf-8") as fh:
                 scenario = parse_scenario(fh.read())
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error=scenario {exc}", file=sys.stderr)
-            return 2
-        try:
             # run_sim rejects what parses but cannot run: a duplicate worker
-            # id, a kill naming no worker.
+            # id, a kill naming no worker, an unknown init_config.
             report = run_sim(
                 scenario.fleet,
                 scenario.setup,
@@ -813,7 +812,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 kill_schedule=scenario.kill_schedule,
                 clear_signal_at=scenario.clear_signal_at,
             )
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             print(f"error=scenario {exc}", file=sys.stderr)
             return 2
         for line in report.lines():
@@ -821,19 +820,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     try:
-        sim = SimConfig(
-            t_eval=args.t_eval,
-            t_io=args.t_io,
-            seed=args.seed,
-            stop=StopCondition(max_total_evaluations=args.max_evals),
-        )
-        setup = default_setup(
-            n=args.n,
-            levels=args.levels,
-            target_order=args.target_order,
-            mode=OptimizerMode.parse(args.mode),
-            init_seed=args.seed,
-        )
+        setup, sim = _read_job({**vars(args), "init_seed": args.seed})
         rows = sweep_fleet_size(args.max_p, sim, setup)
     except ValueError as exc:
         print(f"error=sweep {exc}", file=sys.stderr)
@@ -846,7 +833,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"wasted_outdated={report.wasted_outdated}"
         )
     if args.csv:
-        _write_sweep_csv(args.csv, rows)
+        write_sweep_csv(args.csv, rows)
     return 0
 
 

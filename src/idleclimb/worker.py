@@ -35,6 +35,7 @@ from .clock import Clock, SECONDS_PER_DAY, WallClock
 from .coordination import (
     CoordinationError,
     JobDirectory,
+    convert_fields,
     parse_fields,
     read_manifest,
     signal_exists,
@@ -165,17 +166,17 @@ def scheduler_tick(
     probe: IdleProbe,
     now: float,
     *,
-    time_of_day: float | None = None,
     clock: Clock | None = None,
 ) -> TickDecision:
     """One scheduling decision.
 
     Starts the first job in scan order whose signal is present, provided the
     time is inside the daily window and the machine has been idle long
-    enough.  Share errors are a Skip, not a failure, mirroring a launcher
-    script that silently exits when the network share is gone.
+    enough, by ``clock``'s time of day (UTC days without one).  Share errors
+    are a Skip, not a failure, mirroring a launcher script that silently
+    exits when the network share is gone.
     """
-    tod = time_of_day if time_of_day is not None else now % SECONDS_PER_DAY
+    tod = clock.time_of_day(now) if clock is not None else now % SECONDS_PER_DAY
     if not in_daily_window(config, tod):
         return TickDecision(False, reason=SkipReason.OUTSIDE_WINDOW)
     if probe.idle_duration(now) < config.idle_threshold:
@@ -233,9 +234,7 @@ def run_daemon(
         if now < next_tick:
             clock.sleep(next_tick - now)
             continue
-        decision = scheduler_tick(
-            config, probe, now, time_of_day=clock.time_of_day(now), clock=clock
-        )
+        decision = scheduler_tick(config, probe, now, clock=clock)
         report.ticks += 1
         report.decisions.append((now, decision))
         if decision.start:
@@ -299,24 +298,23 @@ def parse_time_of_day(text: str) -> float:
     return float(text)
 
 
+_CONFIG_KEYS = {
+    "mode": ("mode", OptimizerMode.parse),
+    "poll_interval": ("poll_interval", float),
+    "idle_threshold": ("idle_threshold", float),
+    "daily_start": ("daily_start", parse_time_of_day),
+    "daily_duration": ("daily_duration", float),
+}
+
+
 def parse_worker_config(text: str) -> WorkerConfig:
-    """Parse the key=value daemon configuration (repeated job= lines)."""
+    """Parse the key=value daemon configuration (repeated job= lines).  A key
+    left out takes the :class:`WorkerConfig` default."""
     values = parse_fields(text, "config", repeated=frozenset({"job"}))
     worker_id = values.get("worker_id") or f"{os.uname().nodename}:{os.getpid()}"
     return WorkerConfig(
-        jobs=tuple(values["job"]),
-        worker_id=worker_id,
-        mode=OptimizerMode.parse(values.get("mode", "replace_if_better")),
-        poll_interval=float(values.get("poll_interval", 600)),
-        idle_threshold=float(values.get("idle_threshold", 3600)),
-        daily_start=parse_time_of_day(values.get("daily_start", "12:00")),
-        daily_duration=float(values.get("daily_duration", 85800)),
+        jobs=tuple(values["job"]), worker_id=worker_id, **convert_fields(values, _CONFIG_KEYS)
     )
-
-
-def _load_config(path: str) -> WorkerConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_worker_config(fh.read())
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -330,7 +328,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_tick = sub.add_parser("tick", help="print a single dry-run scheduling decision")
     p_tick.add_argument("--config", required=True)
-    p_tick.add_argument("--now", type=float, required=True)
+    p_tick.add_argument("--now", type=float, required=True,
+                        help="Unix time; its time of day is read in local time")
     p_tick.add_argument("--idle", type=float, default=None,
                         help="scripted idle seconds (defaults to the system probe)")
 
@@ -342,7 +341,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     try:
-        config = _load_config(args.config)
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = parse_worker_config(fh.read())
     except (OSError, ValueError) as exc:
         print(f"error=config {exc}", file=sys.stderr)
         return 2
@@ -352,7 +352,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             probe: IdleProbe = TraceProbe(idle_since=args.now - args.idle)
         else:
             probe = SystemIdleProbe()
-        decision = scheduler_tick(config, probe, args.now)
+        decision = scheduler_tick(config, probe, args.now, clock=WallClock())
         if decision.start:
             print(f"decision=start job={decision.job.path}")
         else:

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import tempfile
 import threading
 import time
@@ -50,6 +51,7 @@ from idleclimb.coordination import (
     signal_set,
     write_manifest,
 )
+from idleclimb.objective import from_manifest
 from idleclimb.simharness import parse_scenario
 from idleclimb.worker import parse_worker_config
 
@@ -184,6 +186,16 @@ class TestBestRecord:
         with pytest.raises(FormatError, match="checksum"):
             parse_best("version=0\n")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda body: body.replace("estimated=0\n", ""), "missing estimated= line"),
+        (lambda body: body.replace("version=0", "version=zero"), "best.dat: invalid literal"),
+        (lambda body: body.replace("n=4", "n=5"), "expected 5 values, got 4"),
+    ], ids=["missing_key", "non_numeric", "n_mismatch"])
+    def test_a_record_with_a_valid_checksum_is_still_checked(self, edit, message):
+        body = edit(serialize_best(state()).rsplit("checksum=", 1)[0])
+        with pytest.raises(FormatError, match=message):
+            parse_best(body + f"checksum={coordination._checksum(body)}\n")
+
     def test_version_zero_cannot_be_estimated(self):
         with pytest.raises(ValueError):
             state(version=0, estimated=True)
@@ -238,6 +250,12 @@ class TestCommit:
                       change=proposal(index=2, new_value=1, delta=0.5, proposer="pc1"))
         log = read_commit_log(job)
         assert log == [(1, 2, 1, 0.5, "pc1")]
+
+    def test_lines_of_another_field_count_are_skipped(self, mem_job):
+        job = mem_job()
+        for line in ("1 2 3", "1 2 1 0.5 w1", "2 0 1 0.25 w1 extra"):
+            job.backend.append_line(CHANGES_FILE, line)
+        assert read_commit_log(job) == [(1, 2, 1, 0.5, "w1")]
 
     def test_a_malformed_commit_line_is_a_format_error(self, mem_job):
         job = mem_job()
@@ -703,6 +721,26 @@ class TestKeyValueCodec:
         with pytest.raises(FormatError, match=f"{source} line {line}:") as exc:
             parse(text)
         assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("parse, text, named", [
+    (parse_scenario, "worker=id=a\nn=abc\n", "n='abc'"),
+    (parse_scenario, "worker=id=a\nt_io=fast\n", "t_io='fast'"),
+    (parse_scenario, "worker=id=a\nstop_target=soon\n", "stop_target='soon'"),
+    (parse_scenario, "worker=id=a\nclear_signal_at=soon\n", "clear_signal_at='soon'"),
+    (parse_scenario, "worker=id=a speed=fast\n", "speed='fast'"),
+    (parse_scenario, "worker=id=a avail=5\n", "avail='5'"),
+    (parse_worker_config, "job=/j\npoll_interval=often\n", "poll_interval='often'"),
+    (parse_worker_config, "job=/j\ndaily_start=ab:cd\n", "daily_start='ab:cd'"),
+    (parse_worker_config, "job=/j\nmode=fast\n", "mode='fast'"),
+    (lambda text: from_manifest(parse_fields(text, MANIFEST_FILE)),
+     "objective=phase_mask\nn=8\nlevels=two\ntarget_order=1\n", "levels='two'"),
+], ids=["scenario_objective", "scenario_sim", "scenario_stop", "scenario_clear",
+        "worker_speed", "worker_avail", "config_float", "config_time", "config_mode",
+        "manifest_objective"])
+def test_a_malformed_value_is_a_format_error_naming_key_and_value(parse, text, named):
+    with pytest.raises(FormatError, match=re.escape(named)):
+        parse(text)
 
 
 class TestRepeatedKeys:

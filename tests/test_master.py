@@ -74,6 +74,27 @@ class TestInit:
         assert code == 2
 
 
+    @pytest.mark.parametrize("option, named", [
+        (["--n", "abc"], "n='abc'"),
+        (["--stop-target", "soon"], "stop_target='soon'"),
+        (["--init-config", "zeros"], "'zeros'"),
+    ])
+    def test_a_malformed_option_is_named_and_nothing_is_written(self, tmp_path, capsys,
+                                                                 option, named):
+        code, values, err = run(capsys, "init", str(tmp_path / "job"), *option)
+        assert code == 2 and not values
+        assert err.startswith("error=") and len(err.splitlines()) == 1 and named in err
+        assert not (tmp_path / "job").exists()
+
+    def test_the_manifest_holds_what_init_was_given(self, tmp_path, capsys):
+        jobdir = tmp_path / "job"
+        run(capsys, "init", str(jobdir), "--n", "16", "--levels", "4", "--target-order", "3",
+            "--stop-max-evals", "500", "--stop-target", "0.9")
+        assert (jobdir / "manifest.dat").read_text() == (
+            "job_id=job\nobjective=phase_mask\nn=16\nlevels=4\ntarget_order=3\n"
+            "stop_max_evals=500\nstop_target=0.9\n")
+
+
 class TestStartStop:
     def test_start_sets_signal(self, tmp_path, capsys):
         jobdir = str(tmp_path / "job")

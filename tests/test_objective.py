@@ -228,6 +228,13 @@ class TestManifest:
             from_manifest({"objective": "phase_mask", "n": "4", "levels": "1",
                            "target_order": "0"})
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 64), levels=st.integers(2, 16), data=st.data())
+    def test_manifest_params_round_trip(self, n, levels, data):
+        obj = PhaseMaskObjective(length=n, level_count=levels,
+                                 target_order=data.draw(st.integers(0, n - 1)))
+        assert from_manifest(obj.manifest_params()) == obj
+
     @pytest.mark.parametrize("params", [
         {"objective": "nope"},
         {"objective": "phase_mask", "n": "eight", "levels": "2", "target_order": "0"},

@@ -258,6 +258,15 @@ def test_malformed_stop_value_is_a_format_error(key):
         StopCondition.from_manifest({key: "soon"})
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.builds(StopCondition,
+                 max_total_evaluations=st.none() | st.integers(0, 10**12),
+                 target_performance=st.none() | st.floats(allow_nan=False),
+                 stagnation_proposals=st.none() | st.integers(0, 10**6)))
+def test_stop_condition_manifest_round_trip(stop):
+    assert StopCondition.from_manifest(stop.manifest_params()) == stop
+
+
 class TestCheckStop:
     def test_signal_present_continue(self, mem_job):
         job = fresh_job(mem_job)

@@ -330,6 +330,17 @@ class TestInterruption:
         job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="sim")
         assert read_fleet_tally(job)["w000"].evaluations == killed.evaluations
 
+    def test_a_worker_whose_last_window_closes_first_quiesces_at_its_end(self):
+        """Slices of 1.0 and free directory operations put the window ends on
+        checkpoints, so the worker stops exactly there."""
+        fleet = (SimWorker(id="a"), SimWorker(id="b", availability=((0.0, 50.0), (60.0, 75.0))))
+        sim = SimConfig(t_eval=10.0, t_io=0.0, seed=1,
+                        stop=StopCondition(max_total_evaluations=30))
+        report = run_sim(fleet, default_setup(init_seed=1), sim)
+        a, b = report.worker_stats
+        assert not report.incomplete and a.quiesce_time > 75.0
+        assert b.kills == 2 and b.quiesce_time == 75.0
+
     def test_empty_kill_schedule_is_identity(self):
         sim = small_sim(seed=3, evals=100)
         report = interruption_test(homogeneous_fleet(3), [], sim,
@@ -426,11 +437,18 @@ kill=day@42.5
         assert lines[0] == "p,speedup,efficiency,wasted_duplicate,wasted_outdated"
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("text", ["nope\n",
-                                      "worker=id=a\nkill=nobody@5\n",
-                                      "worker=id=a\nworker=id=a\n"],
-                             ids=["unparsable", "unknown_kill", "duplicate_id"])
-    def test_cli_bad_scenario_exit_2(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, named", [
+        ("nope\n", "line 1"),
+        ("worker=id=a\nkill=nobody@5\n", "'nobody'"),
+        ("worker=id=a\nworker=id=a\n", "unique"),
+        # A stop key, so that a parser that ignores the typo still ends.
+        ("stop_max_evals=5\nworker=id=a\ninit_config=zeros\n", "'zeros'"),
+        ("stop_max_evals=5\nworker=id=a sped=3\n", "'sped'"),
+        ("worker=speed=3\n", "worker='speed=3' has no id="),
+        ("worker=id=a\nkill=a5\n", "kill='a5'"),
+    ], ids=["unparsable", "unknown_kill", "duplicate_id", "init_config_typo",
+            "worker_key_typo", "worker_without_id", "kill_without_at"])
+    def test_cli_bad_scenario_exit_2(self, tmp_path, capsys, text, named):
         from idleclimb import simharness
 
         bad = tmp_path / "bad.txt"
@@ -440,6 +458,7 @@ kill=day@42.5
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error=scenario ")
+        assert named in captured.err
 
     @pytest.mark.parametrize("bad", [["--max-p", "0"], ["--max-p", "1", "--t-eval", "0"],
                                      ["--max-p", "1", "--mode", "nope"]])

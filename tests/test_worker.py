@@ -2,6 +2,7 @@
 
 import random
 import subprocess
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -398,6 +399,27 @@ class TestCli:
         assert worker.main(["tick", "--config", str(config), "--now", "50400",
                             "--idle", "60"]) == 0
         assert "reason=not_idle" in capsys.readouterr().out
+
+    def test_tick_reads_the_time_of_day_in_local_time(self, tmp_path, capsys, monkeypatch):
+        """03:00 UTC is noon in Tokyo (UTC+9 all year): inside a 09:00-17:00
+        window there, as the daemon's wall clock reads it, but not in UTC."""
+        from idleclimb import master, worker
+
+        jobdir = tmp_path / "job"
+        master.main(["init", str(jobdir)])
+        master.main(["start", str(jobdir)])
+        config = tmp_path / "worker.conf"
+        config.write_text(f"job={jobdir}\ndaily_start=09:00\ndaily_duration=28800\n")
+        capsys.readouterr()
+        monkeypatch.setenv("TZ", "JST-9")
+        try:
+            time.tzset()
+            assert worker.main(["tick", "--config", str(config), "--now", "10800",
+                                "--idle", "7200"]) == 0
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert capsys.readouterr().out.startswith("decision=start")
 
     def test_config_error_exit_code(self, tmp_path):
         from idleclimb import worker
