@@ -58,7 +58,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Protocol, Union
+from typing import Any, Callable, Collection, Mapping, Protocol, Union
 
 from .clock import Clock, WallClock
 
@@ -131,18 +131,25 @@ class Backend(Protocol):
 
 _tmp_counter = itertools.count()
 
+# The names a job directory holds; FsBackend joins each to its path once.
+PROTOCOL_FILES = (SIGNAL_FILE, BEST_FILE, LOCK_FILE, MANIFEST_FILE, CHANGES_FILE)
+
+# Bytes asked of each ``read`` call; a file is read until one returns none.
+_READ_CHUNK = 1 << 16
+
 
 class FsBackend:
     """A real directory on a local disk or a mounted share."""
 
     def __init__(self, path: str):
         self.path = os.fspath(path)
+        self._paths = {name: os.path.join(self.path, name) for name in PROTOCOL_FILES}
 
     def _tmp_name(self, name: str) -> str:
         # Unique per process, thread and call: concurrent writers must never
-        # collide on scratch names.
-        return self._full(
-            f".{name}.{os.getpid()}.{threading.get_ident()}.{next(_tmp_counter)}.tmp"
+        # collide on scratch names, and a name used once is not kept.
+        return os.path.join(
+            self.path, f".{name}.{os.getpid()}.{threading.get_ident()}.{next(_tmp_counter)}.tmp"
         )
 
     def _check_dir(self, cause: Exception) -> Exception:
@@ -151,7 +158,7 @@ class FsBackend:
         return ShareUnreachableError(f"I/O error in {self.path}: {cause}")
 
     def _full(self, name: str) -> str:
-        return os.path.join(self.path, name)
+        return self._paths.get(name) or os.path.join(self.path, name)
 
     def exists(self, name: str) -> bool:
         """One ``stat`` when the file is there; only a failed one looks at the
@@ -164,26 +171,39 @@ class FsBackend:
                 raise ShareUnreachableError(f"job directory unreachable: {self.path}") from None
             return False
 
-    def read_text(self, name: str) -> str:
-        """The whole file, decoded as UTF-8 with bad bytes replaced and line
-        endings kept as they are."""
+    def _read_raw(self, name: str, offset: int) -> bytes:
+        """The file's bytes from ``offset`` to its end.  A missing file is a
+        FileNotFoundError while the job directory is there; a missing
+        directory or any other failure is a :class:`ShareUnreachableError`."""
         try:
-            with open(self._full(name), "rb") as fh:
-                return fh.read().decode("utf-8", "replace")
-        except FileNotFoundError:
-            raise
+            fd = os.open(self._full(name), os.O_RDONLY)
+        except OSError as exc:
+            if isinstance(exc, FileNotFoundError) and os.path.isdir(self.path):
+                raise
+            raise self._check_dir(exc) from exc
+        try:
+            if offset:
+                os.lseek(fd, offset, os.SEEK_SET)
+            chunks = []
+            while chunk := os.read(fd, _READ_CHUNK):
+                chunks.append(chunk)
         except OSError as exc:
             raise self._check_dir(exc) from exc
+        finally:
+            os.close(fd)
+        return b"".join(chunks)
+
+    def read_text(self, name: str) -> str:
+        """The whole file, decoded as UTF-8 with bad bytes replaced and line
+        endings kept as they are.  Read with one ``os.open``, ``os.read``
+        until it returns nothing, and ``os.close``: no buffered file object."""
+        return self._read_raw(name, 0).decode("utf-8", "replace")
 
     def read_tail(self, name: str, offset: int) -> tuple[str, int]:
         try:
-            with open(self._full(name), "rb") as fh:
-                fh.seek(offset)
-                raw = fh.read()
+            raw = self._read_raw(name, offset)
         except FileNotFoundError:
             return "", offset
-        except OSError as exc:
-            raise self._check_dir(exc) from exc
         # A character cut off at the end is left unread, for the next call.
         decoder = codecs.getincrementaldecoder("utf-8")("replace")
         data = decoder.decode(raw)
@@ -427,6 +447,17 @@ def convert_fields(
             except ValueError as exc:
                 raise FormatError(f"{key}={fields[key]!r}: {exc}") from None
     return arguments
+
+
+def reject_unknown(fields: Mapping[str, Any], known: Collection[str], source: str) -> None:
+    """Raise :class:`FormatError` naming the first key of ``fields`` not in
+    ``known``, and the keys that are: a misspelt key is an error, not a
+    silently applied default."""
+    for key in fields:
+        if key not in known:
+            raise FormatError(
+                f"{source}: unknown key {key!r} (expected {', '.join(sorted(known))})"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,21 @@ class Objective(Protocol):
     def evaluate(self, config: Config, checkpoint: Checkpoint | None = None) -> float: ...
 
 
+@functools.lru_cache(maxsize=64)
+def _levels(level_count: int) -> frozenset[int]:
+    return frozenset(range(level_count))
+
+
 def validate_config(config: Config, length: int, level_count: int) -> None:
+    """Raise ValueError unless ``config`` has ``length`` elements, each in
+    ``[0, level_count)``.  A valid configuration passes in one set check;
+    only one that fails it is walked element by element, to name the first
+    bad element (or to raise the TypeError of a non-numeric one)."""
+    try:
+        if len(config) == length and _levels(level_count).issuperset(config):
+            return
+    except TypeError:  # an unhashable element; the walk below names it
+        pass
     if len(config) != length:
         raise ValueError(f"config has {len(config)} elements, expected {length}")
     for i, v in enumerate(config):

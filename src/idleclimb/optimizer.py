@@ -89,9 +89,10 @@ class MergeOutcome:
         return self.state.version if self.state is not None else None
 
 
-_STOP_KEYS = {"stop_max_evals": ("max_total_evaluations", int),
-              "stop_target": ("target_performance", float),
-              "stop_stagnation": ("stagnation_proposals", int)}
+# The manifest keys of a StopCondition: key -> (field, conversion).
+STOP_KEYS = {"stop_max_evals": ("max_total_evaluations", int),
+             "stop_target": ("target_performance", float),
+             "stop_stagnation": ("stagnation_proposals", int)}
 
 
 @dataclass(frozen=True)
@@ -125,13 +126,13 @@ class StopCondition:
 
     def manifest_params(self) -> dict[str, str]:
         """The stop keys of the conditions set, as :meth:`from_manifest` reads them."""
-        values = {key: getattr(self, name) for key, (name, _kind) in _STOP_KEYS.items()}
+        values = {key: getattr(self, name) for key, (name, _kind) in STOP_KEYS.items()}
         return {key: str(value) for key, value in values.items() if value is not None}
 
     @staticmethod
     def from_manifest(params: Mapping[str, str]) -> "StopCondition":
         """The stop keys of a manifest; a malformed value is a :class:`FormatError`."""
-        return StopCondition(**convert_fields(params, _STOP_KEYS))
+        return StopCondition(**convert_fields(params, STOP_KEYS))
 
 
 
@@ -261,7 +262,7 @@ def evaluate_and_merge(
     delta = measured - base.performance
     proposal = ChangeProposal(index=index, new_value=new_value, delta=delta, proposer=proposer)
 
-    latest = _io_retry(job, lambda: read_best(job))
+    latest = _io_retry(job, read_best, job)
     for _ in range(MERGE_MAX_RETRIES + 1):
         if latest.version == base.version:
             config, performance, estimated = candidate, measured, False
@@ -312,15 +313,28 @@ def audit_estimate(job: JobDirectory, objective: Objective) -> EstimateAudit:
     return EstimateAudit(recorded=state, exact_performance=exact, drift=abs(state.performance - exact))
 
 
-def _io_retry(job: JobDirectory, fn: Callable[[], object]):
-    start = job.clock.now()
+def _io_retry(job: JobDirectory, fn: Callable[..., object], *args):
+    """``fn(*args)``, called again every ``IO_RETRY_BACKOFF`` seconds of the
+    job's clock while it raises :class:`ShareUnreachableError`.  The error
+    is raised once ``IO_RETRY_DEADLINE`` has passed since the first failure.
+    The clock is read only after a failure, so a call that succeeds at once
+    reads it not at all."""
+    first_failure = None
     while True:
         try:
-            return fn()
+            return fn(*args)
         except ShareUnreachableError:
-            if job.clock.now() - start >= IO_RETRY_DEADLINE:
+            now = job.clock.now()
+            if first_failure is None:
+                first_failure = now
+            elif now - first_failure >= IO_RETRY_DEADLINE:
                 raise
             job.clock.sleep(IO_RETRY_BACKOFF)
+
+
+# A copy starts each loop's outcome counts: copying keeps the keys' hashes,
+# and hashing an Outcome runs Python code.
+_NO_OUTCOMES = dict.fromkeys(Outcome, 0)
 
 
 def work_loop(
@@ -352,18 +366,22 @@ def work_loop(
     every neighbor not better against a version that never moved: the job
     is at a local optimum, and this worker clears the signal.
 
-    The worker's tally stays in memory.  The loop syncs it (writes its own
-    tally if it changed, then re-reads the fleet's) at the first loop top,
-    at the loop top after a commit, and otherwise at most once per
+    The loop counts its outcomes in memory and folds them into the worker's
+    tally only when a sync needs one.  It syncs (writes its own tally if it
+    changed, then re-reads the fleet's) at the first loop top, at the loop
+    top after a commit, and otherwise at most once per
     ``TALLY_SYNC_INTERVAL``; it writes the tally once more on every normal
-    exit.  The tally is cumulative per worker id: a loop that rejoins a job
-    starts from the tally its earlier loops left there.
+    exit.  The stop check counts every evaluation, folded or not.  The tally
+    is cumulative per worker id: a loop that rejoins a job starts from the
+    tally its earlier loops left there.
     """
     cancel = cancel or (lambda: False)
     rng = rng or random.Random()
     report = LoopReport()
-    tally = WorkerTally()
-    flushed = tally  # the tally last written; an empty one is never written
+    counts = _NO_OUTCOMES.copy()  # this loop's completed proposals, by outcome
+    evaluations = 0  # their sum
+    joined = WorkerTally()  # the tally this worker id's earlier loops left
+    flushed = joined  # the tally last written; an empty one is never written
     tallies = TallyReader(job)
     last_sync = -math.inf  # job-clock time of the last sync; -inf makes one due
     counted_version: int | None = None  # the version ``proposals`` count against
@@ -372,37 +390,45 @@ def work_loop(
 
     def flush() -> None:
         nonlocal flushed
-        if tally != flushed:
-            _io_retry(job, lambda: append_tally(job, worker_id, tally))
-            flushed = tally
+        if joined.evaluations + evaluations == flushed.evaluations:
+            return  # nothing counted since the last write
+        tally = WorkerTally(
+            evaluations=joined.evaluations + evaluations,
+            commits=joined.commits + counts[Outcome.COMMITTED],
+            rejects_not_better=joined.rejects_not_better + counts[Outcome.REJECTED_NOT_BETTER],
+            rejects_conflict=joined.rejects_conflict + counts[Outcome.REJECTED_CONFLICT],
+            rejects_stale=joined.rejects_stale + counts[Outcome.REJECTED_STALE],
+        )
+        _io_retry(job, append_tally, job, worker_id, tally)
+        flushed = tally
 
     def stop_now(best: BestState) -> bool:
-        nonlocal last_sync, tally, flushed
+        nonlocal last_sync, joined, flushed
         now = job.clock.now()
         # A wall clock stepped back also forces a sync, rather than none.
         if not 0.0 <= now - last_sync < TALLY_SYNC_INTERVAL:
             flush()
             _io_retry(job, tallies.refresh)
-            if not tally.evaluations:
+            if not flushed.evaluations:
                 # Nothing counted yet: a worker re-entering the job under its
                 # id counts on from its earlier loops' tally.
-                tally = flushed = tallies.per_worker.get(worker_id, tally)
+                joined = flushed = tallies.per_worker.get(worker_id, joined)
             last_sync = now
-        fleet = tallies.evaluations_excluding(worker_id) + tally.evaluations
+        fleet = tallies.evaluations_excluding(worker_id) + joined.evaluations + evaluations
         return stop.satisfied(best.performance, fleet)
 
     while True:
         if cancel():
             report.exit_reason = "cancelled"
             break
-        if not _io_retry(job, lambda: signal_exists(job)):
+        if not _io_retry(job, signal_exists, job):
             report.exit_reason = "signal_cleared"
             break
-        base = _io_retry(job, lambda: read_best(job))
+        base = _io_retry(job, read_best, job)
         if base.version != counted_version:
             counted_version, proposals, sweep = base.version, 0, None
         if stop_now(base):
-            _io_retry(job, lambda: signal_clear(job))
+            _io_retry(job, signal_clear, job)
             report.exit_reason = "stop_condition"
             break
 
@@ -413,7 +439,7 @@ def work_loop(
                 sweep = neighbors(objective, base.config)
             change = next(sweep, None)
             if change is None:
-                _io_retry(job, lambda: signal_clear(job))
+                _io_retry(job, signal_clear, job)
                 report.exit_reason = "stagnation"
                 break
 
@@ -426,31 +452,23 @@ def work_loop(
             sweep = None
             continue
         proposals += 1
-        report.evaluations += 1
-        if outcome.kind is Outcome.COMMITTED:
-            report.commits += 1
+        evaluations += 1
+        kind = outcome.kind
+        counts[kind] += 1
+        if kind is Outcome.COMMITTED:
             last_sync = -math.inf
-        else:
-            report.rejects_by_kind[outcome.kind.value] += 1
-            if outcome.kind is not Outcome.REJECTED_NOT_BETTER:
-                sweep = None
-        tally = WorkerTally(
-            evaluations=tally.evaluations + 1,
-            commits=tally.commits + (outcome.kind is Outcome.COMMITTED),
-            rejects_not_better=tally.rejects_not_better
-            + (outcome.kind is Outcome.REJECTED_NOT_BETTER),
-            rejects_conflict=tally.rejects_conflict + (outcome.kind is Outcome.REJECTED_CONFLICT),
-            rejects_stale=tally.rejects_stale + (outcome.kind is Outcome.REJECTED_STALE),
-        )
-        log.info(
-            "t=%.3f %s: base v%d change (%d -> %d) %s",
-            job.clock.now(),
-            worker_id,
-            base.version,
-            change[0],
-            change[1],
-            outcome.kind.value,
-        )
+        elif kind is not Outcome.REJECTED_NOT_BETTER:
+            sweep = None
+        if log.isEnabledFor(logging.INFO):
+            log.info(
+                "t=%.3f %s: base v%d change (%d -> %d) %s",
+                job.clock.now(),
+                worker_id,
+                base.version,
+                change[0],
+                change[1],
+                kind.value,
+            )
         if observer is not None:
             observer(
                 ProposalRecord(
@@ -460,7 +478,7 @@ def work_loop(
                     index=change[0],
                     new_value=change[1],
                     measured=outcome.measured,
-                    outcome=outcome.kind,
+                    outcome=kind,
                     committed_version=outcome.new_version,
                     recorded_performance=(
                         outcome.state.performance if outcome.state is not None else None
@@ -469,4 +487,9 @@ def work_loop(
             )
 
     flush()
+    report.evaluations = evaluations
+    report.commits = counts[Outcome.COMMITTED]
+    report.rejects_by_kind = {
+        kind.value: count for kind, count in counts.items() if kind is not Outcome.COMMITTED
+    }
     return report

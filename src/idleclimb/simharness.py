@@ -58,6 +58,7 @@ from .coordination import (
     convert_fields,
     parse_fields,
     read_best,
+    reject_unknown,
     signal_clear,
     signal_set,
 )
@@ -70,6 +71,7 @@ from .objective import (
     initial_config,
 )
 from .optimizer import (
+    STOP_KEYS,
     Outcome,
     OptimizerMode,
     ProposalRecord,
@@ -706,15 +708,17 @@ _SETUP_KEYS = {"mode": ("mode", OptimizerMode.parse), "init_config": ("init_conf
                "init_seed": ("init_seed", int), "job_id": ("job_id", str)}
 _SIM_KEYS = {"t_eval": ("t_eval", float), "t_io": ("t_io", float), "seed": ("seed", int),
              "horizon": ("horizon", float)}
+# Every top-level key of a scenario: the job's (objective, stop, set-up and
+# simulation keys), the repeated stanzas and the operator's stop time.
+_SCENARIO_KEYS = frozenset({*default_setup().objective.manifest_params(), *STOP_KEYS,
+                            *_SETUP_KEYS, *_SIM_KEYS, "worker", "kill", "clear_signal_at"})
 
 
 def _parse_worker(value: str) -> SimWorker:
     """One ``worker=`` stanza; its tokens are read as key=value lines."""
     source = f"worker={value!r}"
     fields = parse_fields("\n".join(value.split()), source)
-    for key in fields:
-        if key not in _WORKER_KEYS:
-            raise FormatError(f"{source}: unknown key {key!r} (expected id, speed, avail or poll)")
+    reject_unknown(fields, _WORKER_KEYS, source)
     if "id" not in fields:
         raise FormatError(f"{source} has no id=")
     return SimWorker(**convert_fields(fields, _WORKER_KEYS))
@@ -743,8 +747,10 @@ def _read_job(values: Mapping[str, Any]) -> tuple[JobSetup, SimConfig]:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse the key=value scenario format: job keys, repeated worker= and
-    kill= lines, and clear_signal_at."""
+    kill= lines, and clear_signal_at.  Any other key is a
+    :class:`FormatError`."""
     values = parse_fields(text, "scenario", repeated=frozenset({"worker", "kill"}))
+    reject_unknown(values, _SCENARIO_KEYS, "scenario")
     fleet = tuple(_parse_worker(value) for value in values["worker"])
     if not fleet:
         raise FormatError("scenario defines no worker= lines")

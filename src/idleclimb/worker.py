@@ -10,8 +10,8 @@ cooperative: the loop checks between protocol steps and at evaluation
 checkpoints, and the file protocol tolerates genuinely hard kills anyway.
 
 The configuration file is ``key=value`` lines with repeated ``job=`` lines,
-read by :func:`idleclimb.coordination.parse_fields`; unknown keys are
-ignored.
+read by :func:`idleclimb.coordination.parse_fields`; an unknown key is an
+error, so a misspelt one cannot fall back to a default unnoticed.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .coordination import (
     convert_fields,
     parse_fields,
     read_manifest,
+    reject_unknown,
     signal_exists,
 )
 from .objective import Objective, from_manifest as objective_from_manifest
@@ -309,8 +310,10 @@ _CONFIG_KEYS = {
 
 def parse_worker_config(text: str) -> WorkerConfig:
     """Parse the key=value daemon configuration (repeated job= lines).  A key
-    left out takes the :class:`WorkerConfig` default."""
+    left out takes the :class:`WorkerConfig` default; an unknown key is a
+    :class:`FormatError`."""
     values = parse_fields(text, "config", repeated=frozenset({"job"}))
+    reject_unknown(values, {"job", "worker_id", *_CONFIG_KEYS}, "config")
     worker_id = values.get("worker_id") or f"{os.uname().nodename}:{os.getpid()}"
     return WorkerConfig(
         jobs=tuple(values["job"]), worker_id=worker_id, **convert_fields(values, _CONFIG_KEYS)

@@ -1,5 +1,6 @@
 """Shared-directory protocol: atomicity, CAS, locks, crash and race behavior."""
 
+import codecs
 import multiprocessing
 import os
 import re
@@ -19,6 +20,7 @@ from idleclimb.coordination import (
     CHANGES_FILE,
     LOCK_FILE,
     MANIFEST_FILE,
+    PROTOCOL_FILES,
     AlreadyInitializedError,
     BestState,
     ChangeProposal,
@@ -51,7 +53,8 @@ from idleclimb.coordination import (
     signal_set,
     write_manifest,
 )
-from idleclimb.objective import from_manifest
+from idleclimb.objective import PhaseMaskObjective, from_manifest
+from idleclimb.optimizer import OptimizerMode, StopCondition, initialize, work_loop
 from idleclimb.simharness import parse_scenario
 from idleclimb.worker import parse_worker_config
 
@@ -793,3 +796,104 @@ class TestMemBackendSemantics:
         assert mem.create_exclusive("x", "1")
         assert not mem.create_exclusive("x", "2")
         assert mem.read_text("x") == "1"
+
+
+def _buffered_read_text(path):
+    """FsBackend.read_text as a buffered ``open(..., "rb")`` read did it."""
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8", "replace")
+
+
+def _buffered_read_tail(path, offset):
+    """FsBackend.read_tail as a buffered ``open(..., "rb")`` read did it."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            raw = fh.read()
+    except FileNotFoundError:
+        return "", offset
+    decoder = codecs.getincrementaldecoder("utf-8")("replace")
+    data = decoder.decode(raw)
+    return data, offset + len(raw) - len(decoder.getstate()[0])
+
+
+class Ascending:
+    """An objective whose every evaluation beats the last: every proposal
+    commits."""
+
+    def __init__(self, length, level_count):
+        self.length, self.level_count, self.cost_hint = length, level_count, 1.0
+        self.calls = 0
+
+    def evaluate(self, config, checkpoint=None):
+        self.calls += 1
+        return float(self.calls)
+
+
+# Over one 64 KiB read, the file has an "é" (two bytes) across the boundary.
+RAW_FILES = {
+    "empty": b"",
+    "over_one_chunk": ("xy" + "line é\n" * 20_000).encode(),
+    "crlf": b"a=1\r\nb=2\r\n",
+    "bad_byte": b"bad \xff byte\n",
+    "cut_character": "cut é".encode()[:-1],
+}
+
+
+class TestRawReads:
+    @pytest.mark.parametrize("kind", sorted(RAW_FILES))
+    def test_reads_match_a_buffered_read(self, tmp_path, kind):
+        raw = RAW_FILES[kind]
+        (tmp_path / "f").write_bytes(raw)
+        backend = FsBackend(str(tmp_path))
+        assert backend.read_text("f") == _buffered_read_text(tmp_path / "f")
+        # 8 is inside the first "é" of the long file.
+        for offset in {0, 1, 8, len(raw) // 2, max(len(raw) - 1, 0), len(raw), len(raw) + 5}:
+            assert backend.read_tail("f", offset) == _buffered_read_tail(tmp_path / "f", offset)
+
+    def test_a_missing_file_and_a_removed_directory(self, tmp_path):
+        job_dir = tmp_path / "job"
+        job_dir.mkdir()
+        backend = FsBackend(str(job_dir))
+        with pytest.raises(FileNotFoundError):
+            backend.read_text("missing")
+        assert backend.read_tail("missing", 7) == ("", 7)
+        job_dir.rmdir()
+        with pytest.raises(ShareUnreachableError, match="unreachable"):
+            backend.read_text("missing")
+        with pytest.raises(ShareUnreachableError, match="unreachable"):
+            backend.read_tail("missing", 0)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_descriptor_leaks(self, tmp_path):
+        (tmp_path / "job").mkdir()
+        (tmp_path / "job" / "f").write_bytes(RAW_FILES["over_one_chunk"])
+        (tmp_path / "plain").write_text("")
+        present = FsBackend(str(tmp_path / "job"))
+        reads = [
+            lambda: present.read_text("f"),
+            lambda: present.read_tail("f", 3),
+            lambda: present.read_tail("missing", 0),
+            lambda: present.read_text("."),  # opens, then fails to read
+            lambda: present.read_text("missing"),
+            lambda: FsBackend(str(tmp_path / "gone")).read_text("f"),
+            lambda: FsBackend(str(tmp_path / "plain")).read_tail("f", 0),
+        ]
+        before = len(os.listdir("/proc/self/fd"))
+        for i in range(1000):
+            try:
+                reads[i % len(reads)]()
+            except (FileNotFoundError, ShareUnreachableError):
+                pass
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_only_protocol_paths_are_kept(self, fs_job):
+        job = fs_job()
+        objective = Ascending(length=8, level_count=2)
+        initialize(job, (0,) * 8, objective)
+        signal_set(job)
+        report = work_loop(job, "w", objective, OptimizerMode.REPLACE_IF_BETTER,
+                           StopCondition(max_total_evaluations=200))
+        assert report.commits == 200
+        assert set(job.backend._paths) == set(PROTOCOL_FILES)
+        assert not any(name.endswith(".tmp") for name in job.backend._paths)

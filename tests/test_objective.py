@@ -252,3 +252,47 @@ def test_validate_config_bounds():
         validate_config((0, 2), 2, 2)
     with pytest.raises(ValueError):
         validate_config((-1, 0), 2, 2)
+
+
+def validate_config_by_loop(config, length, level_count):
+    """The element-by-element check :func:`validate_config` falls back on."""
+    if len(config) != length:
+        raise ValueError(f"config has {len(config)} elements, expected {length}")
+    for i, v in enumerate(config):
+        if not 0 <= v < level_count:
+            raise ValueError(f"config[{i}]={v} outside [0, {level_count})")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+elements = st.one_of(
+    st.integers(-3, 20),
+    st.booleans(),
+    st.floats(-2.0, 20.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1", None, (1,), [1]]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    level_count=st.integers(2, 16),
+    config=st.one_of(
+        st.lists(st.integers(0, 15), max_size=12),
+        st.lists(elements, max_size=12),
+    ),
+    extra=st.one_of(st.just(0), st.integers(-2, 2)),
+    as_tuple=st.booleans(),
+)
+def test_validate_config_accepts_and_rejects_as_the_loop_does(level_count, config, extra,
+                                                               as_tuple):
+    config = tuple(config) if as_tuple else config
+    length = max(len(config) + extra, 0)
+    expected = _outcome(validate_config_by_loop, config, length, level_count)
+    assert _outcome(validate_config, config, length, level_count) == expected

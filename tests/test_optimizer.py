@@ -1,5 +1,6 @@
 """Hill-climbing protocol: init-once, proposals, the double-read merge."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -32,6 +33,8 @@ from idleclimb.objective import (
     neighbors,
 )
 from idleclimb.optimizer import (
+    IO_RETRY_BACKOFF,
+    IO_RETRY_DEADLINE,
     TALLY_SYNC_INTERVAL,
     OptimizerMode,
     Outcome,
@@ -41,6 +44,7 @@ from idleclimb.optimizer import (
     evaluate_and_merge,
     initialize,
     propose,
+    _io_retry,
     work_loop,
 )
 from idleclimb.simharness import ClockedObjective
@@ -280,6 +284,64 @@ class TestCheckStop:
         job = JobDirectory(backend=FsBackend("/nonexistent/share"),
                            clock=VirtualClock(), job_id="x")
         assert check_stop_during_evaluation(job) is False
+
+
+class CountingClock(VirtualClock):
+    """A virtual clock that counts its reads and sleeps."""
+
+    def __init__(self, start=0.0):
+        super().__init__(start)
+        self.reads = self.sleeps = 0
+
+    def now(self):
+        self.reads += 1
+        return super().now()
+
+    def sleep(self, duration):
+        self.sleeps += 1
+        super().sleep(duration)
+
+
+class TestIoRetry:
+    def job(self, clock):
+        return JobDirectory(backend=MemBackend(), clock=clock, job_id="retry")
+
+    def test_a_share_down_for_three_seconds_recovers(self):
+        clock = CountingClock()
+
+        def read(value):
+            if clock.now() < 3.0:
+                raise ShareUnreachableError("down")
+            return value
+
+        assert _io_retry(self.job(clock), read, "best") == "best"
+        assert clock.sleeps == round(3.0 / IO_RETRY_BACKOFF)
+        assert 3.0 <= clock.now() < 3.0 + IO_RETRY_BACKOFF
+
+    def test_a_share_down_for_good_fails_a_deadline_after_the_first_failure(self):
+        clock = CountingClock()
+        failures = []
+
+        def read():
+            if not failures:
+                clock.sleep(2.0)  # the first call hangs for 2 s, then fails
+            failures.append(clock.now())
+            raise ShareUnreachableError("down")
+
+        with pytest.raises(ShareUnreachableError):
+            _io_retry(self.job(clock), read)
+        # The deadline runs from the first failure at 2 s, not from the call:
+        # one backoff before each retry, until a failure comes a deadline on.
+        backoffs = math.ceil(IO_RETRY_DEADLINE / IO_RETRY_BACKOFF)
+        assert clock.sleeps == 1 + backoffs
+        assert len(failures) == 1 + backoffs
+        assert failures[0] == 2.0
+        assert failures[-2] - 2.0 < IO_RETRY_DEADLINE <= failures[-1] - 2.0
+
+    def test_a_first_time_success_reads_no_clock(self):
+        clock = CountingClock()
+        assert _io_retry(self.job(clock), divmod, 7, 2) == (3, 1)
+        assert clock.reads == clock.sleeps == 0
 
 
 class TestWorkLoop:

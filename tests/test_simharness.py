@@ -446,8 +446,10 @@ kill=day@42.5
         ("stop_max_evals=5\nworker=id=a sped=3\n", "'sped'"),
         ("worker=speed=3\n", "worker='speed=3' has no id="),
         ("worker=id=a\nkill=a5\n", "kill='a5'"),
+        # The stop target ends the run at once if the typo is ignored.
+        ("stop_target=0\nworker=id=a\nstop_max_eval=5\n", "unknown key 'stop_max_eval'"),
     ], ids=["unparsable", "unknown_kill", "duplicate_id", "init_config_typo",
-            "worker_key_typo", "worker_without_id", "kill_without_at"])
+            "worker_key_typo", "worker_without_id", "kill_without_at", "top_level_key_typo"])
     def test_cli_bad_scenario_exit_2(self, tmp_path, capsys, text, named):
         from idleclimb import simharness
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from idleclimb.clock import VirtualClock
 from idleclimb.coordination import (
+    FormatError,
     JobDirectory,
     MemBackend,
     FsBackend,
@@ -25,6 +26,7 @@ from idleclimb.worker import (
     TraceProbe,
     WorkerConfig,
     in_daily_window,
+    main as worker_main,
     parse_time_of_day,
     parse_worker_config,
     run_daemon,
@@ -358,6 +360,27 @@ class TestConfigParsing:
     def test_missing_jobs_rejected(self):
         with pytest.raises(ValueError):
             parse_worker_config("worker_id=x\n")
+
+    @pytest.mark.parametrize("key", ["poll_intervall", "retry_window", "probe_granule"])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(FormatError, match=f"unknown key '{key}'"):
+            parse_worker_config(f"job=/x\n{key}=5\n")
+
+    @pytest.mark.parametrize("command", [["run"], ["tick", "--now", "50400", "--idle", "7200"]])
+    def test_cli_unknown_key_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        from idleclimb import worker
+
+        def no_daemon(*args, **kwargs):
+            pytest.fail("the daemon started on a configuration with an unknown key")
+
+        monkeypatch.setattr(worker, "run_daemon", no_daemon)
+        config = tmp_path / "worker.conf"
+        config.write_text("job=/x\npoll_intervall=5\n")
+        assert worker_main([command[0], "--config", str(config), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error=config ")
+        assert "'poll_intervall'" in captured.err
 
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
