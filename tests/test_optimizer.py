@@ -684,14 +684,15 @@ def _job_for_seed(seed):
 
 
 # The real worker's path over a real directory, bit for bit: sha256 over
-# best.dat, changes.log, the loop report, the proposal records and the
+# best.dat, changes.log, the loop report's values (evaluations, commits, the
+# three reject counts, aborted and exit reason), the proposal records and the
 # backend operation counts.  The clock advances 13 ms at every loop top, so
 # timestamps move and the tally syncs on its interval.  A second worker
 # proposes against a base it read 20 loop tops earlier at every 40th, so the
 # two modes part ways.
 WORKER_PINS = {
-    "change_merge": "48585998980de18d53099127107c7a404fde49e17ead3ec8ccc8a41c4caf412e",
-    "replace_if_better": "7a50fbe89da99296b053394ee763aba8432b135f05eb0be7cba1a27200f7df5a",
+    "change_merge": "eb6d7018451a866f2ff939ed23fd2f111fe032e359bfeac10aaf1cd4b048a996",
+    "replace_if_better": "0167c2d172cbccad74c942a7f218949c8de7211722c8288751b639f1324e450a",
 }
 
 
@@ -726,11 +727,14 @@ def test_real_worker_path_is_pinned(fs_job, mode):
     report = work_loop(job, "w", obj, mode, StopCondition(max_total_evaluations=2000), tick,
                        rng=random.Random(5), observer=records.append)
     assert report.evaluations == 2000
+    rejects = report.rejects_by_kind
+    values = (report.evaluations, report.commits, rejects["not_better"], rejects["conflict"],
+              rejects["stale"], report.aborted, report.exit_reason)
     digest = hashlib.sha256()
     for part in (
         backend.read_text(BEST_FILE),
         backend.read_text(CHANGES_FILE),
-        repr(report),
+        repr(values),
         repr(records),
         repr(sorted(backend.ops.items())),
     ):
