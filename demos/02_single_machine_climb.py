@@ -39,6 +39,6 @@ for seed in range(5):
     print(
         f"start {start} -> {final.config}  "
         f"efficiency {final.performance:.6f}  "
-        f"({report.evaluations} evaluations, {report.commits} commits, "
+        f"({report.evaluations} evaluations, {report.counts.commits} commits, "
         f"exit: {report.exit_reason}){hit}"
     )

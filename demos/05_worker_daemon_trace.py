@@ -61,5 +61,5 @@ for t, decision in report.decisions:
 print(f"\nticks {report.ticks}, starts {report.starts}, "
       f"kills by user activity {report.kills}")
 for i, loop in enumerate(report.loop_reports):
-    print(f"  loop {i}: {loop.evaluations} evaluations, {loop.commits} commits, "
+    print(f"  loop {i}: {loop.evaluations} evaluations, {loop.counts.commits} commits, "
           f"{loop.aborted} abandoned mid-flight, exit: {loop.exit_reason}")

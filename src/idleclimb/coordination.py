@@ -27,11 +27,12 @@ through files in it:
     its tally if it changed, then reads the others') at its first loop top,
     after a commit and at most once per ``optimizer.TALLY_SYNC_INTERVAL`` of
     the job's clock, and writes its tally once more when its loop exits.
-    A tally line is exactly ``#tally <worker> evals=N commits=N
-    not_better=N conflict=N stale=N`` with single spaces, keys in this
-    order and non-negative decimal counts; any other line, torn or
-    malformed, is ignored.  Advisory: nothing reads it to decide
-    correctness.
+    A tally line is exactly ``#tally <worker>`` and one ``key=N`` per
+    :data:`TALLY_KEYS`, in order, with single spaces and non-negative
+    decimal counts: a :class:`WorkerTally`, the one outcome-counts record
+    that loop reports, simulator stats, exit lines and ``master report``
+    share.  Any other line, torn or malformed, is ignored.  Advisory:
+    nothing reads it to decide correctness.
 
 Ordinary file shares offer no compare-and-swap, so updates go through the
 lock plus a write-to-temp-then-atomic-rename discipline, and every record
@@ -58,7 +59,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Collection, Mapping, Protocol, Union
+from typing import Any, Callable, Collection, Iterable, Mapping, NamedTuple, Protocol, Union
 
 from .clock import Clock, WallClock
 
@@ -682,12 +683,15 @@ def commit_update(
 # Advisory tallies and audit trail
 
 
-@dataclass(frozen=True)
-class WorkerTally:
-    """One worker's cumulative progress counters.  The work loop keeps them
-    in memory and writes them to changes.log per sync (see the module
-    docstring), not per evaluation.  Advisory: stop conditions tolerate
-    slack."""
+# A tally line's keys: the evaluations, then one per optimizer.Outcome, in order.
+TALLY_KEYS = ("evals", "commits", "not_better", "conflict", "stale")
+
+
+class WorkerTally(NamedTuple):
+    """The outcome counts: evaluations, then one count per :data:`TALLY_KEYS`
+    outcome.  As a worker's cumulative tally the work loop keeps it in
+    memory and writes it to changes.log per sync (see the module docstring),
+    not per evaluation.  Advisory: stop conditions tolerate slack."""
 
     evaluations: int = 0
     commits: int = 0
@@ -695,23 +699,24 @@ class WorkerTally:
     rejects_conflict: int = 0
     rejects_stale: int = 0
 
-    def line(self, worker_id: str) -> str:
-        return (
-            f"{TALLY_PREFIX} {worker_id} evals={self.evaluations} "
-            f"commits={self.commits} not_better={self.rejects_not_better} "
-            f"conflict={self.rejects_conflict} stale={self.rejects_stale}"
-        )
+    @classmethod
+    def total(cls, tallies: Iterable[Iterable[int]]) -> "WorkerTally":
+        """Each count summed over ``tallies``: records, or sequences laid out as one."""
+        return cls(*map(sum, zip(*tallies)))
+
+    def text(self) -> str:
+        """The counts as ``key=N`` pairs, one per :data:`TALLY_KEYS`."""
+        return " ".join(map("{}={}".format, TALLY_KEYS, self))
 
 
 def append_tally(job: JobDirectory, worker_id: str, tally: WorkerTally) -> None:
-    job.backend.append_line(CHANGES_FILE, tally.line(worker_id))
+    job.backend.append_line(CHANGES_FILE, f"{TALLY_PREFIX} {worker_id} {tally.text()}")
 
 
-# Exactly the line WorkerTally.line writes; anything else (a torn line, a
+# Exactly the line append_tally writes; anything else (a torn line, a
 # missing or reordered key, a negative count) is not a tally.
 _TALLY_LINE = re.compile(
-    rf"^{re.escape(TALLY_PREFIX)} (\S+) evals=([0-9]+) commits=([0-9]+) not_better=([0-9]+)"
-    r" conflict=([0-9]+) stale=([0-9]+)$",
+    rf"^{re.escape(TALLY_PREFIX)} (\S+) " + " ".join(f"{k}=([0-9]+)" for k in TALLY_KEYS) + "$",
     re.MULTILINE,
 )
 
@@ -756,10 +761,7 @@ class TallyReader:
     @property
     def per_worker(self) -> dict[str, WorkerTally]:
         """Each worker's latest tally, as of the last refresh."""
-        return {
-            w: WorkerTally(int(m[1]), int(m[2]), int(m[3]), int(m[4]), int(m[5]))
-            for w, m in self._fields.items()
-        }
+        return {w: WorkerTally(*map(int, m[1:])) for w, m in self._fields.items()}
 
     def evaluations_excluding(self, worker_id: str) -> int:
         """The other workers' evaluations, as of the last refresh."""

@@ -94,7 +94,7 @@ def cmd_report(args) -> int:
         return EXIT_STATE
     objective = objmod.from_manifest(coord.read_manifest(job))
     audit = optimizer.audit_estimate(job, objective)
-    tallies = coord.read_fleet_tally(job)
+    fleet = coord.WorkerTally.total(coord.read_fleet_tally(job).values())
     commits = len(coord.read_commit_log(job))
     state = audit.recorded
     _print("job_id", job.job_id)
@@ -105,10 +105,10 @@ def cmd_report(args) -> int:
     _print("estimated", int(state.estimated))
     _print("estimate_drift", f"{audit.drift:.17g}")
     _print("commits", commits)
-    _print("evaluations", sum(t.evaluations for t in tallies.values()))
-    _print("rejected_not_better", sum(t.rejects_not_better for t in tallies.values()))
-    _print("rejected_conflict", sum(t.rejects_conflict for t in tallies.values()))
-    _print("rejected_stale", sum(t.rejects_stale for t in tallies.values()))
+    _print("evaluations", fleet.evaluations)
+    _print("rejected_not_better", fleet.rejects_not_better)
+    _print("rejected_conflict", fleet.rejects_conflict)
+    _print("rejected_stale", fleet.rejects_stale)
     return EXIT_OK
 
 

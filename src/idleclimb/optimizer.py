@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping
 
@@ -76,6 +76,10 @@ class Outcome(Enum):
     REJECTED_NOT_BETTER = "not_better"
     REJECTED_CONFLICT = "conflict"
     REJECTED_STALE = "stale"
+
+
+for _slot, _kind in enumerate(Outcome, 1):  # tally-line order, after the evaluations
+    _kind.slot = _slot  # its count's index in a WorkerTally; reading it hashes nothing
 
 
 @dataclass(frozen=True)
@@ -153,15 +157,15 @@ class ProposalRecord:
     recorded_performance: float | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoopReport:
-    evaluations: int = 0
-    commits: int = 0
-    rejects_by_kind: dict[str, int] = field(
-        default_factory=lambda: {"not_better": 0, "conflict": 0, "stale": 0}
-    )
-    aborted: int = 0
-    exit_reason: str = ""
+    counts: WorkerTally  # this loop's completed proposals, by outcome
+    aborted: int
+    exit_reason: str
+
+    @property
+    def evaluations(self) -> int:
+        return self.counts.evaluations
 
 
 CancelCheck = Callable[[], bool]
@@ -332,11 +336,6 @@ def _io_retry(job: JobDirectory, fn: Callable[..., object], *args):
             job.clock.sleep(IO_RETRY_BACKOFF)
 
 
-# A copy starts each loop's outcome counts: copying keeps the keys' hashes,
-# and hashing an Outcome runs Python code.
-_NO_OUTCOMES = dict.fromkeys(Outcome, 0)
-
-
 def work_loop(
     job: JobDirectory,
     worker_id: str,
@@ -377,9 +376,8 @@ def work_loop(
     """
     cancel = cancel or (lambda: False)
     rng = rng or random.Random()
-    report = LoopReport()
-    counts = _NO_OUTCOMES.copy()  # this loop's completed proposals, by outcome
-    evaluations = 0  # their sum
+    counts = list(WorkerTally())  # this loop's completed proposals, laid out as a tally
+    aborted = 0
     joined = WorkerTally()  # the tally this worker id's earlier loops left
     flushed = joined  # the tally last written; an empty one is never written
     tallies = TallyReader(job)
@@ -390,17 +388,10 @@ def work_loop(
 
     def flush() -> None:
         nonlocal flushed
-        if joined.evaluations + evaluations == flushed.evaluations:
-            return  # nothing counted since the last write
-        tally = WorkerTally(
-            evaluations=joined.evaluations + evaluations,
-            commits=joined.commits + counts[Outcome.COMMITTED],
-            rejects_not_better=joined.rejects_not_better + counts[Outcome.REJECTED_NOT_BETTER],
-            rejects_conflict=joined.rejects_conflict + counts[Outcome.REJECTED_CONFLICT],
-            rejects_stale=joined.rejects_stale + counts[Outcome.REJECTED_STALE],
-        )
-        _io_retry(job, append_tally, job, worker_id, tally)
-        flushed = tally
+        tally = WorkerTally.total((joined, counts))
+        if tally != flushed:  # something was counted since the last write
+            _io_retry(job, append_tally, job, worker_id, tally)
+            flushed = tally
 
     def stop_now(best: BestState) -> bool:
         nonlocal last_sync, joined, flushed
@@ -414,22 +405,22 @@ def work_loop(
                 # id counts on from its earlier loops' tally.
                 joined = flushed = tallies.per_worker.get(worker_id, joined)
             last_sync = now
-        fleet = tallies.evaluations_excluding(worker_id) + joined.evaluations + evaluations
+        fleet = tallies.evaluations_excluding(worker_id) + joined.evaluations + counts[0]
         return stop.satisfied(best.performance, fleet)
 
     while True:
         if cancel():
-            report.exit_reason = "cancelled"
+            exit_reason = "cancelled"
             break
         if not _io_retry(job, signal_exists, job):
-            report.exit_reason = "signal_cleared"
+            exit_reason = "signal_cleared"
             break
         base = _io_retry(job, read_best, job)
         if base.version != counted_version:
             counted_version, proposals, sweep = base.version, 0, None
         if stop_now(base):
             _io_retry(job, signal_clear, job)
-            report.exit_reason = "stop_condition"
+            exit_reason = "stop_condition"
             break
 
         if stop.stagnation_proposals is None or proposals < stop.stagnation_proposals:
@@ -440,7 +431,7 @@ def work_loop(
             change = next(sweep, None)
             if change is None:
                 _io_retry(job, signal_clear, job)
-                report.exit_reason = "stagnation"
+                exit_reason = "stagnation"
                 break
 
         try:
@@ -448,13 +439,13 @@ def work_loop(
                 job, base, change, objective, mode, proposer=worker_id, cancel=cancel
             )
         except EvaluationAborted:
-            report.aborted += 1
+            aborted += 1
             sweep = None
             continue
         proposals += 1
-        evaluations += 1
         kind = outcome.kind
-        counts[kind] += 1
+        counts[0] += 1
+        counts[kind.slot] += 1
         if kind is Outcome.COMMITTED:
             last_sync = -math.inf
         elif kind is not Outcome.REJECTED_NOT_BETTER:
@@ -487,9 +478,4 @@ def work_loop(
             )
 
     flush()
-    report.evaluations = evaluations
-    report.commits = counts[Outcome.COMMITTED]
-    report.rejects_by_kind = {
-        kind.value: count for kind, count in counts.items() if kind is not Outcome.COMMITTED
-    }
-    return report
+    return LoopReport(WorkerTally(*counts), aborted, exit_reason)

@@ -55,6 +55,7 @@ from .coordination import (
     JobDirectory,
     MemBackend,
     SIGNAL_FILE,
+    WorkerTally,
     convert_fields,
     parse_fields,
     read_best,
@@ -365,6 +366,8 @@ class SimWorker:
     poll_interval: float = 600.0
 
     def __post_init__(self):
+        if self.id.split() != [self.id]:  # as tally and commit lines split it
+            raise ValueError(f"id {self.id!r} must be one word with no whitespace")
         if self.speed_factor <= 0:
             raise ValueError("speed_factor must be positive")
         last = -math.inf
@@ -502,8 +505,7 @@ def run_sim(
 
     records: list[ProposalRecord] = []
     stats: dict[str, dict] = {
-        w.id: {"evaluations": 0, "commits": 0, "aborted": 0, "kills": 0, "quiesce": None}
-        for w in fleet
+        w.id: {"counts": WorkerTally(), "aborted": 0, "kills": 0, "quiesce": None} for w in fleet
     }
 
     for w in fleet:
@@ -548,8 +550,7 @@ def _worker_body(w, kernel, store, setup, sim, records, events, kill_times, stat
                     job, w.id, objective, setup.mode, sim.stop,
                     cancelled, rng=rng, observer=records.append,
                 )
-                my["evaluations"] += report.evaluations
-                my["commits"] += report.commits
+                my["counts"] = WorkerTally.total((my["counts"], report.counts))
                 my["aborted"] += report.aborted
                 if report.exit_reason in ("stop_condition", "stagnation"):
                     events.note_stop(kernel.now)
@@ -625,14 +626,8 @@ def _build_report(fleet, setup, sim, kernel, store, records, events, stats) -> S
     final = read_best(JobDirectory(backend=store, clock=SimClock(kernel, "<final>"),
                                    job_id=setup.job_id))
     worker_stats = tuple(
-        WorkerStats(
-            id=w.id,
-            evaluations=stats[w.id]["evaluations"],
-            commits=stats[w.id]["commits"],
-            kills=stats[w.id]["kills"],
-            quiesce_time=stats[w.id]["quiesce"],
-        )
-        for w in sorted(fleet, key=lambda w: w.id)
+        WorkerStats(wid, s["counts"].evaluations, s["counts"].commits, s["kills"], s["quiesce"])
+        for wid, s in sorted(stats.items())
     )
     return SpeedupReport(
         makespan=makespan,

@@ -35,6 +35,7 @@ from .clock import Clock, SECONDS_PER_DAY, WallClock
 from .coordination import (
     CoordinationError,
     JobDirectory,
+    WorkerTally,
     convert_fields,
     parse_fields,
     read_manifest,
@@ -144,6 +145,8 @@ class WorkerConfig:
     daily_duration: float = 85800.0  # 23 h 50 min
 
     def __post_init__(self):
+        if self.worker_id.split() != [self.worker_id]:  # as tally and commit lines split it
+            raise ValueError(f"worker_id {self.worker_id!r} must be one word with no whitespace")
         if self.poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
         if self.idle_threshold < 0:
@@ -376,9 +379,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     # supervisor knows when stopping it is safe.
     print(f"ready={config.worker_id}", flush=True)
     report = run_daemon(config, SystemIdleProbe(), clock, stop_event.is_set)
+    loops = report.loop_reports
     print(
         f"ticks={report.ticks} starts={report.starts} kills={report.kills} "
-        f"completed_loops={report.completed_loops} failed_loops={report.failed_loops}"
+        f"completed_loops={report.completed_loops} failed_loops={report.failed_loops} "
+        f"{WorkerTally.total(loop.counts for loop in loops).text()} "
+        f"aborted={sum(loop.aborted for loop in loops)}"
     )
     return 0
 

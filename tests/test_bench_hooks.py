@@ -68,3 +68,13 @@ def test_a_traced_worker_loop_reaches_every_hook(tracer, tmp_path):
     assert report.exit_reason == "stop_condition"
     agg = tracing.merge_summaries([tracer.summary()])
     assert tracing.unrecorded(agg, sim=False) == []
+
+
+@pytest.mark.parametrize("name", ["worker_steady", "sim_p50"])
+def test_an_untraced_workload_runs_clean(name, tmp_path):
+    """The benchmark's plain pass reads report attributes the traced tests
+    above do not; a renamed one fails here before a benchmark run does."""
+    work = str(tmp_path)
+    p = workloads.WORKLOADS[name](1, 0.0, False, work, work)
+    assert p.failed == 0
+    assert p.errors == []

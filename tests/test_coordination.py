@@ -485,6 +485,16 @@ class TestTallyAndManifest:
         assert tallies["w2"].rejects_stale == 2
         assert sum(t.evaluations for t in tallies.values()) == 14
 
+    def test_tally_line_is_exact(self, mem_job):
+        job = mem_job()
+        append_tally(job, "w1", WorkerTally(9, 2, 5, 1, 1))
+        assert job.backend.read_text(CHANGES_FILE) == (
+            "#tally w1 evals=9 commits=2 not_better=5 conflict=1 stale=1\n")
+
+    def test_total_sums_each_count(self):
+        assert WorkerTally.total([]) == WorkerTally()
+        assert WorkerTally.total((WorkerTally(3, 1, 2), [4, 0, 1, 2, 1])) == (7, 1, 3, 2, 1)
+
     def test_tally_lines_do_not_count_as_commits(self, mem_job):
         job = mem_job()
         publish_initial(job, state(performance=1.0))
@@ -894,6 +904,6 @@ class TestRawReads:
         signal_set(job)
         report = work_loop(job, "w", objective, OptimizerMode.REPLACE_IF_BETTER,
                            StopCondition(max_total_evaluations=200))
-        assert report.commits == 200
+        assert report.counts.commits == 200
         assert set(job.backend._paths) == set(PROTOCOL_FILES)
         assert not any(name.endswith(".tmp") for name in job.backend._paths)

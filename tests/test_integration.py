@@ -66,13 +66,24 @@ def test_two_daemons_drive_a_job_to_its_stop_condition(tmp_path, capsys):
                 proc.send_signal(signal.SIGTERM)
         outs = [proc.communicate(timeout=30) for proc in daemons]
 
+    exits = []
     for proc, (out, err) in zip(daemons, outs):
         assert proc.returncode == 0, err
-        assert "ticks=" in out
+        exit_line = out.splitlines()[-1]
+        assert exit_line.startswith("ticks=")
+        exits.append(dict(pair.split("=", 1) for pair in exit_line.split()))
 
     job = JobDirectory.open(str(jobdir))
     tallies = read_fleet_tally(job)
     assert sum(t.evaluations for t in tallies.values()) >= 40
+    # The exit line adds up the daemon's loops; each loop that did not fail
+    # wrote its counts to the tally when it ended.
+    for key in ("evals", "commits", "not_better", "conflict", "stale", "aborted"):
+        assert all(key in values for values in exits)
+    if all(values["failed_loops"] == "0" for values in exits):
+        for key, field in (("evals", "evaluations"), ("commits", "commits")):
+            assert sum(int(values[key]) for values in exits) == sum(
+                getattr(t, field) for t in tallies.values())
     assert read_best(job).version >= 1
 
     assert master.main(["report", str(jobdir)]) == 0

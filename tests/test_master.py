@@ -9,6 +9,8 @@ from idleclimb.coordination import (
     BEST_FILE,
     CHANGES_FILE,
     JobDirectory,
+    WorkerTally,
+    append_tally,
     read_best,
     read_commit_log,
 )
@@ -233,6 +235,18 @@ class TestReport:
         expected_drift = abs(final.performance - obj.evaluate(final.config))
         assert float(values["estimate_drift"]) == expected_drift
         assert float(values["recorded_performance"]) == final.performance
+
+    def test_counts_are_the_fleet_tallies_summed(self, tmp_path, capsys):
+        jobdir = str(tmp_path / "job")
+        run(capsys, "init", jobdir)
+        job = JobDirectory.open(jobdir)
+        append_tally(job, "a", WorkerTally(5, 1, 2, 1, 1))
+        append_tally(job, "b", WorkerTally(3, 0, 3, 0, 0))
+        append_tally(job, "a", WorkerTally(9, 1, 4, 2, 2))  # a's latest replaces its first
+        code, values, _ = run(capsys, "report", jobdir)
+        assert code == 0
+        assert (values["evaluations"], values["rejected_not_better"],
+                values["rejected_conflict"], values["rejected_stale"]) == ("12", "7", "2", "2")
 
     def test_running_job_refused(self, tmp_path, capsys):
         jobdir = str(tmp_path / "job")

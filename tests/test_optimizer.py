@@ -19,6 +19,8 @@ from idleclimb.coordination import (
     MemBackend,
     NotInitializedError,
     ShareUnreachableError,
+    TALLY_KEYS,
+    WorkerTally,
     commit_update,
     read_best,
     read_fleet_tally,
@@ -464,9 +466,8 @@ class TestWorkLoop:
         job = fresh_job(mem_job)
         report = work_loop(job, "w", OBJ8, OptimizerMode.REPLACE_IF_BETTER,
                            StopCondition(max_total_evaluations=40), rng=random.Random(1))
-        assert read_best(job).version == report.commits
-        total_rejects = sum(report.rejects_by_kind.values())
-        assert report.evaluations == report.commits + total_rejects
+        assert read_best(job).version == report.counts.commits
+        assert report.evaluations == sum(report.counts[1:])
 
 
 class SleepingObjective:
@@ -507,7 +508,7 @@ class TestProposalCost:
                            OptimizerMode.REPLACE_IF_BETTER,
                            StopCondition(max_total_evaluations=budget),
                            rng=random.Random(2))
-        assert report.evaluations == report.rejects_by_kind["not_better"] == budget
+        assert report.evaluations == report.counts.rejects_not_better == budget
         assert sum(ops.values()) / budget <= 2.1
         assert ops["exists"] == budget + 1  # one signal read per loop top
         assert ops["read_text"] == budget + 1  # one best.dat read per loop top
@@ -533,8 +534,8 @@ class TestProposalCost:
         report = work_loop(job, "w", OBJ8, OptimizerMode.REPLACE_IF_BETTER,
                            StopCondition(max_total_evaluations=40), rng=random.Random(1))
         # The clock never moves, so only the first loop top and commits sync.
-        assert report.commits > 0
-        assert job.backend.ops["read_tail"] == 1 + report.commits
+        assert report.counts.commits > 0
+        assert job.backend.ops["read_tail"] == 1 + report.counts.commits
 
 
 def _exit_via(reason, mem_job):
@@ -559,6 +560,13 @@ def _exit_via(reason, mem_job):
     return job, report
 
 
+def test_each_outcome_counts_into_its_tally_slot():
+    assert [TALLY_KEYS[kind.slot] for kind in Outcome] == [
+        "commits", "not_better", "conflict", "stale"]
+    assert [WorkerTally._fields[kind.slot] for kind in Outcome] == [
+        "commits", "rejects_not_better", "rejects_conflict", "rejects_stale"]
+
+
 class TestTallySync:
     @pytest.mark.parametrize(
         "reason", ["signal_cleared", "stop_condition", "cancelled", "stagnation"]
@@ -567,10 +575,7 @@ class TestTallySync:
         job, report = _exit_via(reason, mem_job)
         assert report.exit_reason == reason
         assert report.evaluations > 0
-        tally = read_fleet_tally(job)["w"]
-        assert tally.evaluations == report.evaluations
-        assert tally.commits == report.commits
-        assert tally.rejects_not_better == report.rejects_by_kind["not_better"]
+        assert read_fleet_tally(job)["w"] == report.counts
 
     def test_lone_worker_stops_at_exactly_the_budget(self, mem_job):
         budget = 37
@@ -593,9 +598,7 @@ class TestTallySync:
 
         first, second = loop(7, 1), loop(5, 2)
         assert (first.evaluations, second.evaluations) == (7, 5)
-        tally = read_fleet_tally(job)["w"]
-        assert tally.evaluations == first.evaluations + second.evaluations
-        assert tally.commits == first.commits + second.commits
+        assert read_fleet_tally(job)["w"] == WorkerTally.total((first.counts, second.counts))
 
     def test_not_better_result_after_a_stop_is_kept_without_touching_the_share(self, mem_job):
         obj = PhaseMaskObjective(length=4, level_count=2, target_order=0)
@@ -727,9 +730,7 @@ def test_real_worker_path_is_pinned(fs_job, mode):
     report = work_loop(job, "w", obj, mode, StopCondition(max_total_evaluations=2000), tick,
                        rng=random.Random(5), observer=records.append)
     assert report.evaluations == 2000
-    rejects = report.rejects_by_kind
-    values = (report.evaluations, report.commits, rejects["not_better"], rejects["conflict"],
-              rejects["stale"], report.aborted, report.exit_reason)
+    values = (*report.counts, report.aborted, report.exit_reason)
     digest = hashlib.sha256()
     for part in (
         backend.read_text(BEST_FILE),

@@ -371,6 +371,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimWorker(id="w", availability=((0.0, 5.0), (4.0, 9.0)))
 
+    @pytest.mark.parametrize("worker_id", ["desk 07", "w\t1", "", "w\n"])
+    def test_worker_id_must_be_one_word(self, worker_id):
+        with pytest.raises(ValueError, match="whitespace"):
+            SimWorker(id=worker_id)
+
     def test_sim_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(t_eval=0.0)

@@ -367,20 +367,31 @@ class TestConfigParsing:
             parse_worker_config(f"job=/x\n{key}=5\n")
 
     @pytest.mark.parametrize("command", [["run"], ["tick", "--now", "50400", "--idle", "7200"]])
-    def test_cli_unknown_key_exits_2(self, tmp_path, capsys, monkeypatch, command):
+    @pytest.mark.parametrize("line, named", [
+        ("poll_intervall=5", "'poll_intervall'"),
+        # Tally and commit lines are split at whitespace: nothing would parse
+        # the lines this id writes, so the fleet tally would never see it.
+        ("worker_id=desk 07", "'desk 07'"),
+    ])
+    def test_cli_config_error_exits_2(self, tmp_path, capsys, monkeypatch, command, line, named):
         from idleclimb import worker
 
         def no_daemon(*args, **kwargs):
-            pytest.fail("the daemon started on a configuration with an unknown key")
+            pytest.fail(f"the daemon started on a configuration with {line!r}")
 
         monkeypatch.setattr(worker, "run_daemon", no_daemon)
         config = tmp_path / "worker.conf"
-        config.write_text("job=/x\npoll_intervall=5\n")
+        config.write_text(f"job=/x\n{line}\n")
         assert worker_main([command[0], "--config", str(config), *command[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error=config ")
-        assert "'poll_intervall'" in captured.err
+        assert captured.err.startswith("error=config ") and len(captured.err.splitlines()) == 1
+        assert named in captured.err
+
+    @pytest.mark.parametrize("worker_id", ["desk 07", "desk\t07", "desk07\n", "", " "])
+    def test_worker_id_must_be_one_word(self, worker_id):
+        with pytest.raises(ValueError, match="whitespace"):
+            WorkerConfig(jobs=("x",), worker_id=worker_id)
 
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
