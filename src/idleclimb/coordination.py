@@ -732,7 +732,14 @@ class TallyReader:
     running sum of their ``evals``: a refresh converts only the ``evals`` of
     the workers whose line changed, :meth:`evaluations_excluding` is one
     subtraction, and :class:`WorkerTally` objects are built only when
-    :attr:`per_worker` is read.
+    :attr:`per_worker` is read.  Memory is one entry per worker, whatever
+    the log's length.
+
+    At p = 50 a refresh reads about 50 lines, and the one ``findall``, which
+    already runs in C, is most of its cost.  Fewer capture groups, or
+    building the latest-line dict with ``dict(zip(...))`` or ``dict.update``
+    in place of the comprehension, measured no faster inside the simulator
+    (``BENCH_17.json``).
     """
 
     def __init__(self, job: JobDirectory):

@@ -15,8 +15,14 @@ and hands the baton directly to whoever is due next, without a relay
 through the main thread.  All task threads are pinned to one CPU of the
 caller's allowed set: only one of them can run at a time anyway, and a
 baton passed to a thread asleep on another core costs a cross-core wake-up,
-which dominated the simulator's wall time.  Events run in (time, worker
-id) order, and a task has at most one queued event, so a run is a pure
+which dominated the simulator's wall time.  Each pinned task thread also
+runs under ``SCHED_BATCH`` (sched(7)) where the platform grants it: under
+the default policy the thread a baton wakes preempts the waker, which still
+holds the GIL, so one handoff cost several context switches instead of one.
+In a lock ping-pong between two threads pinned to one CPU of a 2-core VM a
+handoff took 3.2-4.4 us under the default policy and 1.5-2.3 us under
+``SCHED_BATCH`` (``BENCH_17.json``).  Events run in (time, worker id)
+order, and a task has at most one queued event, so a run is a pure
 function of (fleet, job setup, sim config, seed) and reports compare
 bit-for-bit across runs and across directory backends.
 
@@ -101,6 +107,10 @@ class _Task:
         self.error: BaseException | None = None
 
 
+# The policy of every pinned task thread, where the platform has it.
+_SCHED_BATCH = getattr(os, "SCHED_BATCH", None) if hasattr(os, "sched_setscheduler") else None
+
+
 def _task_cpu() -> int | None:
     """The one CPU every simulator task thread runs on, or None where CPU
     affinity is unavailable.  Concurrent simulator processes pick different
@@ -128,7 +138,11 @@ class VirtualKernel:
     Exactly one thread runs at any instant, which is what makes runs
     deterministic, and all task threads are pinned to one CPU, so a handoff
     never wakes a thread on another core (with the GIL, that cross-core
-    wake dominated a handoff's cost).
+    wake dominated a handoff's cost).  A pinned task thread also switches
+    itself to ``SCHED_BATCH`` where that is granted, so that the thread a
+    baton wakes waits for the waker to block instead of preempting it while
+    it holds the GIL; a refusal keeps the default policy and changes no
+    result.  The caller's thread keeps its CPU set and policy.
     """
 
     def __init__(self, horizon: float = math.inf):
@@ -154,6 +168,8 @@ class VirtualKernel:
             if self._cpu is not None:
                 try:
                     os.sched_setaffinity(0, {self._cpu})
+                    if _SCHED_BATCH is not None:
+                        os.sched_setscheduler(0, _SCHED_BATCH, os.sched_param(0))
                 except OSError:
                     pass
             task.baton.acquire()
@@ -368,11 +384,14 @@ class SimWorker:
     def __post_init__(self):
         if self.id.split() != [self.id]:  # as tally and commit lines split it
             raise ValueError(f"id {self.id!r} must be one word with no whitespace")
-        if self.speed_factor <= 0:
-            raise ValueError("speed_factor must be positive")
+        # Each test is written so that NaN fails it.
+        if not 0 < self.speed_factor < math.inf:
+            raise ValueError("speed_factor must be positive and finite")
+        if not 0 < self.poll_interval < math.inf:
+            raise ValueError("poll_interval must be positive and finite")
         last = -math.inf
         for start, end in self.availability:
-            if start < last or end <= start:
+            if not last <= start < end:
                 raise ValueError("availability intervals must be disjoint and ordered")
             last = end
 
@@ -386,10 +405,13 @@ class SimConfig:
     stop: StopCondition = StopCondition(max_total_evaluations=1000)
 
     def __post_init__(self):
-        if self.t_eval <= 0:
-            raise ValueError("t_eval must be positive")
-        if self.t_io < 0:
-            raise ValueError("t_io must be non-negative")
+        # Each test is written so that NaN fails it.
+        if not 0 < self.t_eval < math.inf:
+            raise ValueError("t_eval must be positive and finite")
+        if not 0 <= self.t_io < math.inf:
+            raise ValueError("t_io must be non-negative and finite")
+        if not self.horizon >= 0:
+            raise ValueError("horizon must be a non-negative number")
 
 
 @dataclass(frozen=True)
@@ -489,9 +511,13 @@ def run_sim(
     ids = [w.id for w in fleet]
     if len(set(ids)) != len(ids):
         raise ValueError("worker ids must be unique")
-    for wid, _t in kill_schedule:
+    for wid, at in kill_schedule:
         if wid not in set(ids):
             raise ValueError(f"kill schedule names unknown worker {wid!r}")
+        if not at >= 0:
+            raise ValueError(f"kill time {at!r} of {wid!r} must be a non-negative number")
+    if clear_signal_at is not None and not clear_signal_at >= 0:
+        raise ValueError("clear_signal_at must be a non-negative number")
 
     kernel = VirtualKernel(horizon=sim.horizon)
     events = _Events()
@@ -538,13 +564,13 @@ def _worker_body(w, kernel, store, setup, sim, records, events, kill_times, stat
             if kernel.now < win_start:
                 clock.sleep(win_start - kernel.now)
             while kernel.now < win_end:
-                loop_start = kernel.now
+                # The window's end or the first kill after the loop starts,
+                # whichever comes first, cancels the loop.  Checked at every
+                # checkpoint, so it is one comparison.
+                cancel_at = min([win_end, *(k for k in kill_times if k > kernel.now)])
 
-                def cancelled(_start=loop_start, _end=win_end):
-                    now = kernel.now
-                    if now >= _end:
-                        return True
-                    return any(_start < k <= now for k in kill_times)
+                def cancelled(_at=cancel_at):
+                    return kernel.now >= _at
 
                 report = work_loop(
                     job, w.id, objective, setup.mode, sim.stop,

@@ -147,10 +147,14 @@ class WorkerConfig:
     def __post_init__(self):
         if self.worker_id.split() != [self.worker_id]:  # as tally and commit lines split it
             raise ValueError(f"worker_id {self.worker_id!r} must be one word with no whitespace")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
-        if self.idle_threshold < 0:
-            raise ValueError("idle_threshold must be non-negative")
+        # Each test is written so that NaN fails it: a NaN poll interval
+        # would tick without sleeping, and a NaN window would never open.
+        if not 0 < self.poll_interval < math.inf:
+            raise ValueError("poll_interval must be positive and finite")
+        if not 0 <= self.idle_threshold < math.inf:
+            raise ValueError("idle_threshold must be non-negative and finite")
+        if not 0 <= self.daily_start < SECONDS_PER_DAY:
+            raise ValueError("daily_start must be in [0, 86400)")
         if not 0 < self.daily_duration <= SECONDS_PER_DAY:
             raise ValueError("daily_duration must be in (0, 86400]")
         if not self.jobs:

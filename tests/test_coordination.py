@@ -3,13 +3,14 @@
 import codecs
 import multiprocessing
 import os
+import random
 import re
 import tempfile
 import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import CrashInjected, CrashInjectionBackend
@@ -585,6 +586,11 @@ class TestTallyReader:
         for cut in sorted(c % (total + 1) for c in cuts) + [total]:
             backend.visible = cut
             reader.refresh()
+            # Longer than any generated id: a worker with no tally line yet.
+            tallies = reader.per_worker
+            for worker_id in [*tallies, "no-line-yet"]:
+                others = sum(t.evaluations for w, t in tallies.items() if w != worker_id)
+                assert reader.evaluations_excluding(worker_id) == others
         assert reader.per_worker == expected
 
     def test_a_torn_final_line_waits_for_the_next_refresh(self):
@@ -677,6 +683,70 @@ class TestTallyReader:
                 assert reader.evaluations_excluding(worker_id) == others
         last = {w: n for w, n in (x for x in writes if not isinstance(x, str))}
         assert {w: t.evaluations for w, t in reader.per_worker.items()} == last
+
+
+def line_by_line_tally(text):
+    """Each worker's last well-formed tally line, read one line at a time
+    with no regular expression: the reference for :func:`read_fleet_tally`."""
+    keys = ("evals", "commits", "not_better", "conflict", "stale")
+    latest = {}
+    for line in text.split("\n")[:-1]:  # what follows the last newline is torn
+        parts = line.split(" ")
+        if (len(parts) != 2 + len(keys) or parts[0] != "#tally" or not parts[1]
+                or any(c.isspace() for c in parts[1])):
+            continue
+        counts = []
+        for key, part in zip(keys, parts[2:]):
+            name, eq, digits = part.partition("=")
+            if name != key or not eq or not digits or not set(digits) <= set("0123456789"):
+                break
+            counts.append(int(digits))
+        else:
+            latest[parts[1]] = WorkerTally(*counts)
+    return latest
+
+
+def random_log_line(rng):
+    """A tally line, a commit line or one of the near misses a parser must skip."""
+    worker_id = rng.choice(["w1", "w2", "w\u00e9", "a=b", "w#3", "w\r", "w\x0b", ""]) + str(
+        rng.randrange(40))
+    counts = [rng.choice([0, 7, 10**12, rng.randrange(1000)]) for _ in range(5)]
+    tally = f"#tally {worker_id} {WorkerTally(*counts).text()}"
+    return rng.choice([
+        tally, tally, tally, tally,
+        f"{rng.randrange(99)} 3 2 0.5 {worker_id}",
+        tally.replace("evals=", "evals=-", 1),
+        tally.replace("stale=", "stale=\u0663", 1),  # an Arabic-Indic digit
+        tally.replace(" commits=", "  commits=", 1),
+        tally.replace("#tally ", "#tally  ", 1),
+        tally + " extra=1",
+        tally + "\r",
+        tally.rsplit(" ", 1)[0],
+        tally.replace("not_better", "notbetter", 1),
+        " " + tally,
+        tally.replace("conflict=", "conflict=00", 1),
+    ])
+
+
+# Shrinking a seed finds no smaller log, so a failure is reported as drawn.
+@settings(max_examples=5, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(seed=st.integers(0, 2**32 - 1), torn=st.booleans())
+def test_a_10000_line_log_reads_as_line_by_line(seed, torn):
+    rng = random.Random(seed)
+    text = "".join(random_log_line(rng) + "\n" for _ in range(10_000))
+    if torn:
+        text += random_log_line(rng)[:20]
+    backend = MemBackend()
+    backend.write_atomic(CHANGES_FILE, text)
+    job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="t")
+    expected = line_by_line_tally(text)
+    assert read_fleet_tally(job) == expected
+    reader = TallyReader(job)
+    reader.refresh()
+    for worker_id in [*expected, "no-line-yet"]:
+        others = sum(t.evaluations for w, t in expected.items() if w != worker_id)
+        assert reader.evaluations_excluding(worker_id) == others
 
 
 backend_names = st.sampled_from(["a", "b", "c.log"])

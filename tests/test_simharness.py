@@ -382,6 +382,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimConfig(t_io=-1.0)
 
+    # NaN fails every comparison: a NaN t_eval ran to "speedup=nan
+    # efficiency=nan" past the efficiency bound, and a NaN speed ran the
+    # whole fleet before the report failed on an empty min().
+    @pytest.mark.parametrize("make, named", [
+        (lambda: SimConfig(t_eval=math.nan), "t_eval"),
+        (lambda: SimConfig(t_eval=math.inf), "t_eval"),
+        (lambda: SimConfig(t_io=math.nan), "t_io"),
+        (lambda: SimConfig(t_io=math.inf), "t_io"),
+        (lambda: SimConfig(horizon=math.nan), "horizon"),
+        (lambda: SimWorker(id="w", speed_factor=math.nan), "speed_factor"),
+        (lambda: SimWorker(id="w", speed_factor=math.inf), "speed_factor"),
+        (lambda: SimWorker(id="w", poll_interval=math.nan), "poll_interval"),
+        (lambda: SimWorker(id="w", poll_interval=0.0), "poll_interval"),
+        (lambda: SimWorker(id="w", availability=((math.nan, 5.0),)), "availability"),
+        (lambda: SimWorker(id="w", availability=((0.0, math.nan),)), "availability"),
+    ], ids=["t_eval_nan", "t_eval_inf", "t_io_nan", "t_io_inf", "horizon_nan", "speed_nan",
+            "speed_inf", "poll_nan", "poll_zero", "avail_start_nan", "avail_end_nan"])
+    def test_a_number_out_of_range_is_rejected(self, make, named):
+        with pytest.raises(ValueError, match=named):
+            make()
+
 
 class TestScenarioAndCli:
     SCENARIO = """\
@@ -453,8 +474,16 @@ kill=day@42.5
         ("worker=id=a\nkill=a5\n", "kill='a5'"),
         # The stop target ends the run at once if the typo is ignored.
         ("stop_target=0\nworker=id=a\nstop_max_eval=5\n", "unknown key 'stop_max_eval'"),
+        # NaN fails every comparison: before these checks, each of these ran.
+        ("stop_max_evals=5\nt_eval=nan\nworker=id=a\n", "t_eval"),
+        ("stop_max_evals=5\nt_io=nan\nworker=id=a\n", "t_io"),
+        ("stop_max_evals=5\nworker=id=a speed=nan\n", "speed_factor"),
+        ("stop_max_evals=5\nhorizon=nan\nworker=id=a\n", "horizon"),
+        ("stop_max_evals=5\nclear_signal_at=nan\nworker=id=a\n", "clear_signal_at"),
+        ("stop_max_evals=5\nworker=id=a\nkill=a@nan\n", "kill time"),
     ], ids=["unparsable", "unknown_kill", "duplicate_id", "init_config_typo",
-            "worker_key_typo", "worker_without_id", "kill_without_at", "top_level_key_typo"])
+            "worker_key_typo", "worker_without_id", "kill_without_at", "top_level_key_typo",
+            "nan_t_eval", "nan_t_io", "nan_speed", "nan_horizon", "nan_clear", "nan_kill"])
     def test_cli_bad_scenario_exit_2(self, tmp_path, capsys, text, named):
         from idleclimb import simharness
 
@@ -468,7 +497,9 @@ kill=day@42.5
         assert named in captured.err
 
     @pytest.mark.parametrize("bad", [["--max-p", "0"], ["--max-p", "1", "--t-eval", "0"],
-                                     ["--max-p", "1", "--mode", "nope"]])
+                                     ["--max-p", "1", "--mode", "nope"],
+                                     ["--max-p", "1", "--t-eval", "nan"],
+                                     ["--max-p", "1", "--t-io", "nan"]])
     def test_cli_bad_sweep_parameter_exit_2(self, capsys, bad):
         from idleclimb import simharness
 
@@ -502,15 +533,39 @@ class FailsOnCall:
 
 
 class AffinityProbe(FailsOnCall):
-    """Records the CPU set of each thread that evaluates."""
+    """Records the CPU set and the scheduling policy of each thread that
+    evaluates."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.seen = {}
+        self.policies = {}
 
     def evaluate(self, config, checkpoint=None):
-        self.seen[threading.current_thread().name] = os.sched_getaffinity(0)
+        name = threading.current_thread().name
+        self.seen[name] = os.sched_getaffinity(0)
+        self.policies[name] = os.sched_getscheduler(0)
         return super().evaluate(config)
+
+
+def batch_granted() -> bool:
+    """Whether a thread here may switch itself to ``SCHED_BATCH``."""
+    if not hasattr(os, "SCHED_BATCH"):
+        return False
+    granted = []
+
+    def probe():
+        try:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+            granted.append(True)
+        except OSError:
+            pass
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    return bool(granted)
 
 
 def sim_threads():
@@ -549,17 +604,18 @@ class TestHandoff:
 
     @needs_affinity
     def test_the_callers_cpu_affinity_is_untouched(self):
-        before = os.sched_getaffinity(0)
+        before = os.sched_getaffinity(0), os.sched_getscheduler(0), os.sched_getparam(0)
         run_sim(homogeneous_fleet(4), default_setup(), small_sim(seed=1, evals=40))
         run_sim(homogeneous_fleet(4), default_setup(),
                 SimConfig(t_eval=1.0, seed=1, horizon=3.0, stop=StopCondition()))
         with pytest.raises(RuntimeError):
             failing_run()
-        assert os.sched_getaffinity(0) == before
+        assert (os.sched_getaffinity(0), os.sched_getscheduler(0), os.sched_getparam(0)) == before
 
     @needs_affinity
     def test_every_task_thread_runs_on_one_cpu_of_the_callers_set(self):
         allowed = os.sched_getaffinity(0)
+        policy = os.SCHED_BATCH if batch_granted() else os.sched_getscheduler(0)
         base = default_setup(init_seed=4)
         probe = AffinityProbe(base.objective)
         setup = JobSetup(objective=probe, mode=base.mode, init_seed=4)
@@ -569,6 +625,23 @@ class TestHandoff:
         assert len(task_sets) == 4
         cpus = set().union(*task_sets.values())
         assert len(cpus) == 1 and cpus <= allowed
+        assert {probe.policies[name] for name in task_sets} == {policy}
+
+    @needs_affinity
+    @pytest.mark.parametrize("case", ["fleet-change_merge-10-1", "mixed-clear-17.77"])
+    def test_a_refused_scheduling_policy_changes_no_result(self, monkeypatch, case):
+        def refuse(*args):
+            raise PermissionError("operation not permitted")
+
+        monkeypatch.setattr(os, "sched_setscheduler", refuse, raising=False)
+        assert _exactness_run(case) == EXACTNESS_PINS[case]
+        base = default_setup(init_seed=4)
+        probe = AffinityProbe(base.objective)
+        run_sim(homogeneous_fleet(4), JobSetup(objective=probe, mode=base.mode, init_seed=4),
+                small_sim(seed=4, evals=40))
+        task_policies = {policy for name, policy in probe.policies.items()
+                         if name.startswith("sim-")}
+        assert task_policies == {os.sched_getscheduler(0)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Scheduler contract: idle gating, daily window, kills, single instance."""
 
+import math
 import random
 import subprocess
 import time
@@ -372,6 +373,11 @@ class TestConfigParsing:
         # Tally and commit lines are split at whitespace: nothing would parse
         # the lines this id writes, so the fleet tally would never see it.
         ("worker_id=desk 07", "'desk 07'"),
+        # NaN fails every comparison: a NaN poll interval ticked without
+        # sleeping, and a NaN window never opened, with no error either way.
+        ("poll_interval=nan", "poll_interval"),
+        ("idle_threshold=nan", "idle_threshold"),
+        ("daily_start=nan", "daily_start"),
     ])
     def test_cli_config_error_exits_2(self, tmp_path, capsys, monkeypatch, command, line, named):
         from idleclimb import worker
@@ -396,6 +402,16 @@ class TestConfigParsing:
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_worker_config("nonsense\n")
+
+    @pytest.mark.parametrize("field, value", [
+        ("poll_interval", math.nan), ("poll_interval", math.inf), ("poll_interval", -1.0),
+        ("idle_threshold", math.nan), ("idle_threshold", math.inf), ("idle_threshold", -1.0),
+        ("daily_start", math.nan), ("daily_start", -1.0), ("daily_start", 86400.0),
+        ("daily_duration", math.nan), ("daily_duration", 0.0),
+    ])
+    def test_a_number_out_of_range_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            WorkerConfig(jobs=("x",), worker_id="w", **{field: value})
 
     def test_validation(self):
         with pytest.raises(ValueError):
