@@ -32,7 +32,10 @@ through files in it:
     decimal counts: a :class:`WorkerTally`, the one outcome-counts record
     that loop reports, simulator stats, exit lines and ``master report``
     share.  Any other line, torn or malformed, is ignored.  Advisory:
-    nothing reads it to decide correctness.
+    nothing reads it to decide correctness.  Readers rely on the file only
+    growing: the :class:`TallyReader` objects on one backend object share
+    one fold of its tally lines, so each line is parsed once per backend,
+    not once per reader.
 
 Ordinary file shares offer no compare-and-swap, so updates go through the
 lock plus a write-to-temp-then-atomic-rename discipline, and every record
@@ -58,6 +61,7 @@ import math
 import os
 import re
 import threading
+import weakref
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Collection, Iterable, Mapping, NamedTuple, Protocol, Union
 
@@ -721,6 +725,60 @@ _TALLY_LINE = re.compile(
 )
 
 
+# One fold's tallies: each worker's latest matched fields as text, each
+# worker's ``evals`` and their sum.  A fold replaces these dicts rather than
+# mutating them, so a reader holding them keeps its snapshot.
+_Tallies = tuple[dict[str, tuple[str, ...]], dict[str, int], int]
+_NO_TALLIES: _Tallies = ({}, {}, 0)
+
+
+def _fold_lines(tallies: _Tallies, text: str, end: int) -> _Tallies:
+    """``tallies`` with the tally lines of ``text[:end]`` folded in, as new
+    dicts; ``end`` follows a newline.  Refolding a line already folded
+    changes nothing, since only each worker's last line counts."""
+    latest = {m[0]: m for m in _TALLY_LINE.findall(text, 0, end)}
+    if not latest:
+        return tallies
+    fields, evals, total = tallies
+    evals = evals.copy()
+    for worker_id, m in latest.items():
+        count = int(m[1])
+        total += count - evals.get(worker_id, 0)
+        evals[worker_id] = count
+    return {**fields, **latest}, evals, total
+
+
+class _TallyFold:
+    """changes.log's tally lines folded up to offset ``end``, with the torn
+    text before it in ``pending``: what a reader that had read the log from
+    its start to ``end`` would hold.  Updated under ``lock``."""
+
+    __slots__ = ("lock", "end", "pending", "tallies")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.end = 0
+        self.pending = ""
+        self.tallies = _NO_TALLIES
+
+
+# One fold per backend object, shared by every reader on it; it goes with
+# the backend.
+_FOLDS: "weakref.WeakKeyDictionary[Backend, _TallyFold]" = weakref.WeakKeyDictionary()
+_FOLDS_LOCK = threading.Lock()
+
+
+def _shared_fold(backend: Backend) -> _TallyFold:
+    with _FOLDS_LOCK:
+        try:
+            fold = _FOLDS.get(backend)
+            if fold is None:
+                fold = _FOLDS[backend] = _TallyFold()
+        except TypeError:  # a backend that cannot be weakly referenced: no sharing
+            fold = _TallyFold()
+    return fold
+
+
 class TallyReader:
     """Incrementally folds changes.log tally lines into per-worker totals.
 
@@ -728,51 +786,69 @@ class TallyReader:
     line matters; reading just the file tail keeps the per-check cost flat.
     An incomplete final line waits in ``_pending`` for the next refresh.
 
-    The reader keeps each worker's latest matched fields as text and a
-    running sum of their ``evals``: a refresh converts only the ``evals`` of
-    the workers whose line changed, :meth:`evaluations_excluding` is one
-    subtraction, and :class:`WorkerTally` objects are built only when
-    :attr:`per_worker` is read.  Memory is one entry per worker, whatever
-    the log's length.
+    Every reader on the same backend object shares one fold of the log.  A
+    refresh reads its own tail from its own offset, as an unshared reader
+    would, but parses only the part of it past the fold's end, and then
+    takes the fold's tallies as its snapshot.  In a simulated fleet p
+    readers share one backend, so each tally line is parsed once rather
+    than p times.  The fold relies on changes.log only growing: a reader
+    whose read ends at or before the fold's end takes the fold as it is,
+    and the fold never moves back, except when a read from offset 0 finds
+    the log shorter than the fold (the file was replaced), which starts the
+    fold afresh.  A reader whose offset is past the fold's end folds its
+    tail into its own snapshot.  Offsets are bytes on disk and characters
+    in memory, so the fold's end is a position in the tail only when the
+    tail is ASCII; otherwise the reader's whole text is refolded, which
+    changes nothing it already held.
 
-    At p = 50 a refresh reads about 50 lines, and the one ``findall``, which
-    already runs in C, is most of its cost.  Fewer capture groups, or
-    building the latest-line dict with ``dict(zip(...))`` or ``dict.update``
-    in place of the comprehension, measured no faster inside the simulator
-    (``BENCH_17.json``).
+    A fold keeps each worker's latest matched fields as text and a running
+    sum of their ``evals``: it converts only the ``evals`` of the workers
+    whose line changed, :meth:`evaluations_excluding` is one subtraction,
+    and :class:`WorkerTally` objects are built only when :attr:`per_worker`
+    is read.  Memory is one entry per worker, whatever the log's length.
     """
 
     def __init__(self, job: JobDirectory):
         self._job = job
+        self._fold = _shared_fold(job.backend)
         self._offset = 0
         self._pending = ""
-        self._fields: dict[str, tuple[str, ...]] = {}
-        self._evals: dict[str, int] = {}
-        self._total = 0
+        self._tallies = _NO_TALLIES
 
     def refresh(self) -> None:
-        text, self._offset = self._job.backend.read_tail(CHANGES_FILE, self._offset)
-        if not text:
+        start = self._offset
+        tail, end = self._job.backend.read_tail(CHANGES_FILE, start)
+        if not tail:
             return
-        text = self._pending + text
+        text = self._pending + tail
         cut = text.rfind("\n") + 1
         self._pending = text[cut:]
-        latest = {m[0]: m for m in _TALLY_LINE.findall(text, 0, cut)}
-        self._fields.update(latest)
-        evals = self._evals
-        for worker_id, m in latest.items():
-            count = int(m[1])
-            self._total += count - evals.get(worker_id, 0)
-            evals[worker_id] = count
+        self._offset = end
+        fold = self._fold
+        with fold.lock:
+            if start > fold.end:
+                self._tallies = _fold_lines(self._tallies, text, cut)
+                return
+            if end > fold.end:
+                if tail.isascii():
+                    text = fold.pending + tail[fold.end - start:]
+                    cut = text.rfind("\n") + 1
+                fold.tallies = _fold_lines(fold.tallies, text, cut)
+                fold.end, fold.pending = end, text[cut:]
+            elif start == 0 and end < fold.end:
+                fold.tallies = _fold_lines(_NO_TALLIES, text, cut)
+                fold.end, fold.pending = end, text[cut:]
+            self._tallies = fold.tallies
 
     @property
     def per_worker(self) -> dict[str, WorkerTally]:
-        """Each worker's latest tally, as of the last refresh."""
-        return {w: WorkerTally(*map(int, m[1:])) for w, m in self._fields.items()}
+        """Each worker's latest tally, as of this reader's last refresh."""
+        return {w: WorkerTally(*map(int, m[1:])) for w, m in self._tallies[0].items()}
 
     def evaluations_excluding(self, worker_id: str) -> int:
-        """The other workers' evaluations, as of the last refresh."""
-        return self._total - self._evals.get(worker_id, 0)
+        """The other workers' evaluations, as of this reader's last refresh."""
+        _, evals, total = self._tallies
+        return total - evals.get(worker_id, 0)
 
 
 def read_fleet_tally(job: JobDirectory) -> dict[str, WorkerTally]:
@@ -785,14 +861,16 @@ def read_fleet_tally(job: JobDirectory) -> dict[str, WorkerTally]:
 def read_commit_log(job: JobDirectory) -> list[tuple[int, int, int, float, str]]:
     """Parsed commit lines: (version, index, new_value, delta, proposer).
 
-    Tally lines and lines of another field count are skipped; a five-field
-    line whose numbers do not parse raises :class:`FormatError`."""
+    Lines end at newline characters only, and text after the last one is a
+    torn append that is not read, as :class:`TallyReader` does.  Tally
+    lines and lines of another field count are skipped; a five-field line
+    whose numbers do not parse raises :class:`FormatError`."""
     try:
         text = job.backend.read_text(CHANGES_FILE)
     except FileNotFoundError:
         return []
     out = []
-    for number, line in enumerate(text.splitlines(), 1):
+    for number, line in enumerate(text.split("\n")[:-1], 1):
         if not line or line.startswith("#"):
             continue
         parts = line.split()

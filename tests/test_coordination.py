@@ -261,6 +261,14 @@ class TestCommit:
             job.backend.append_line(CHANGES_FILE, line)
         assert read_commit_log(job) == [(1, 2, 1, 0.5, "w1")]
 
+    def test_a_torn_final_commit_line_is_not_a_commit(self, mem_job):
+        job = mem_job()
+        # The last append was cut inside the proposer id "desk07".
+        job.backend.write_atomic(CHANGES_FILE, "1 2 1 0.5 w1\n2 4 0 0.5 des")
+        assert read_commit_log(job) == [(1, 2, 1, 0.5, "w1")]
+        job.backend.write_atomic(CHANGES_FILE, "1 2 1 0.5 w1\n2 4 0 0.5 desk07\n")
+        assert read_commit_log(job) == [(1, 2, 1, 0.5, "w1"), (2, 4, 0, 0.5, "desk07")]
+
     def test_a_malformed_commit_line_is_a_format_error(self, mem_job):
         job = mem_job()
         publish_initial(job, state(performance=1.0))
@@ -569,9 +577,11 @@ class TestTallyReader:
     @given(
         writes=st.lists(st.one_of(st.tuples(worker_ids, tallies), st.just(None)),
                         min_size=1, max_size=25),
-        cuts=st.lists(st.integers(0, 10**6), max_size=12),
+        cuts=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 10**6)), max_size=12),
     )
     def test_chunked_reads_give_each_workers_last_tally(self, writes, cuts):
+        # Three readers share one backend, and so one fold; each sees the log
+        # cut at its own offsets, in increasing order, interleaved as drawn.
         backend = _ChunkedLog()
         job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="t")
         expected = {}
@@ -582,16 +592,148 @@ class TestTallyReader:
                 append_tally(job, *write)
                 expected[write[0]] = write[1]
         total = len(backend.read_text(CHANGES_FILE))
-        reader = TallyReader(job)
-        for cut in sorted(c % (total + 1) for c in cuts) + [total]:
+        readers = [TallyReader(job) for _ in range(3)]
+        own = [iter(sorted(c % (total + 1) for r, c in cuts if r == i)) for i in range(3)]
+        schedule = [(r, next(own[r])) for r, _ in cuts] + [(i, total) for i in range(3)]
+        for i, cut in schedule:
             backend.visible = cut
+            reader = readers[i]
             reader.refresh()
             # Longer than any generated id: a worker with no tally line yet.
             tallies = reader.per_worker
             for worker_id in [*tallies, "no-line-yet"]:
                 others = sum(t.evaluations for w, t in tallies.items() if w != worker_id)
                 assert reader.evaluations_excluding(worker_id) == others
-        assert reader.per_worker == expected
+        for reader in readers:
+            assert reader.per_worker == expected
+
+    def test_each_reader_answers_as_of_its_own_last_refresh(self, mem_job):
+        job = mem_job()
+        append_tally(job, "w1", WorkerTally(evaluations=3))
+        a, b = TallyReader(job), TallyReader(job)
+        a.refresh()
+        append_tally(job, "w2", WorkerTally(evaluations=5, commits=1))
+        b.refresh()  # past a: the shared fold now holds w2
+        assert b.per_worker == {"w1": WorkerTally(evaluations=3),
+                                "w2": WorkerTally(evaluations=5, commits=1)}
+        assert a.per_worker == {"w1": WorkerTally(evaluations=3)}
+        assert a.evaluations_excluding("w1") == 0
+        assert a.evaluations_excluding("w2") == 3
+        a.refresh()
+        assert a.per_worker == b.per_worker
+        assert a.evaluations_excluding("w1") == 5
+        # A fresh reader on a backend whose fold is ahead reads the whole log.
+        assert TallyReader(job)._fold is a._fold
+        assert read_fleet_tally(job) == b.per_worker
+
+    def test_a_replaced_shorter_log_gives_the_new_files_tallies(self, mem_job):
+        job = mem_job()
+        for i in range(3):
+            append_tally(job, f"w{i}", WorkerTally(evaluations=10 + i))
+        assert len(read_fleet_tally(job)) == 3
+        job.backend.write_atomic(CHANGES_FILE, "#tally w9 " + WorkerTally(evaluations=2).text()
+                                 + "\n#tally w")
+        assert read_fleet_tally(job) == {"w9": WorkerTally(evaluations=2)}
+        reader = TallyReader(job)
+        reader.refresh()
+        assert reader.evaluations_excluding("w0") == 2
+        # The append completes the new file's torn final line.
+        job.backend.append_line(CHANGES_FILE, "8 " + WorkerTally(evaluations=4).text())
+        reader.refresh()
+        assert reader.per_worker == {"w9": WorkerTally(evaluations=2),
+                                     "w8": WorkerTally(evaluations=4)}
+
+    def test_a_reader_behind_the_fold_takes_it_and_never_rewinds_it(self):
+        backend = _ChunkedLog()
+        job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="t")
+        for i in range(4):
+            append_tally(job, f"w{i}", WorkerTally(evaluations=i + 1))
+        total = len(backend.read_text(CHANGES_FILE))
+        line = total // 4
+        ahead, behind = TallyReader(job), TallyReader(job)
+        backend.visible = line
+        behind.refresh()
+        assert behind.per_worker == {"w0": WorkerTally(evaluations=1)}
+        backend.visible = total
+        ahead.refresh()
+        backend.visible = 2 * line  # ends before the fold's end
+        behind.refresh()
+        assert behind.per_worker == ahead.per_worker
+        assert behind.evaluations_excluding("w3") == 6
+        assert behind._fold.end == total
+        backend.visible = total
+        behind.refresh()
+        assert behind.per_worker == ahead.per_worker
+        assert behind._fold.end == total
+
+    def test_file_readers_share_a_fold_across_byte_and_character_offsets(self, fs_job):
+        job = fs_job()
+        append_tally(job, "w\u00e9", WorkerTally(evaluations=4))
+        append_tally(job, "w1", WorkerTally(evaluations=1))
+        first, second = TallyReader(job), TallyReader(job)
+        first.refresh()
+        append_tally(job, "w2", WorkerTally(evaluations=2))
+        second.refresh()  # from offset 0: a tail that is not ASCII
+        append_tally(job, "w1", WorkerTally(evaluations=7))
+        # An ASCII tail from a byte offset past the two-byte character: it
+        # is sliced where the fold ends, in bytes.
+        first.refresh()
+        expected = {"w\u00e9": WorkerTally(evaluations=4), "w1": WorkerTally(evaluations=7),
+                    "w2": WorkerTally(evaluations=2)}
+        assert first.per_worker == expected
+        second.refresh()
+        assert second.per_worker == expected
+        assert second.evaluations_excluding("w2") == 11
+
+    def test_readers_on_an_unhashable_backend_fold_alone(self):
+        class ByValue(MemBackend):
+            __hash__ = None  # cannot key the shared folds
+
+        job = JobDirectory(backend=ByValue(), clock=VirtualClock(), job_id="t")
+        append_tally(job, "w1", WorkerTally(evaluations=2))
+        a, b = TallyReader(job), TallyReader(job)
+        a.refresh()
+        b.refresh()
+        assert a._fold is not b._fold
+        assert a.per_worker == b.per_worker == {"w1": WorkerTally(evaluations=2)}
+
+    def test_readers_on_threads_sharing_one_backend_agree(self, fs_job):
+        job = fs_job()
+        rounds, workers = 60, 4
+        results = [None] * workers
+
+        def worker(slot):
+            reader = TallyReader(job)
+            for r in range(rounds):
+                append_tally(job, f"w{slot}", WorkerTally(evaluations=r + 1))
+                reader.refresh()
+                tallies = reader.per_worker
+                assert tallies[f"w{slot}"].evaluations == r + 1
+                others = sum(t.evaluations for w, t in tallies.items() if w != f"w{slot}")
+                assert reader.evaluations_excluding(f"w{slot}") == others
+            barrier.wait()
+            reader.refresh()
+            results[slot] = reader.per_worker
+
+        barrier = threading.Barrier(workers)
+        errors = []
+
+        def run(slot):
+            try:
+                worker(slot)
+            except BaseException as exc:  # re-raised on the test's thread
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if errors:
+            raise errors[0]
+        expected = {f"w{i}": WorkerTally(evaluations=rounds) for i in range(workers)}
+        assert results == [expected] * workers
 
     def test_a_torn_final_line_waits_for_the_next_refresh(self):
         backend = _ChunkedLog()

@@ -70,12 +70,17 @@ class TestDeterminism:
         assert a != b
 
     def test_memory_and_filesystem_backends_agree_exactly(self, tmp_path):
-        fleet = homogeneous_fleet(3)
         setup = default_setup(n=8, levels=2, target_order=1, init_seed=3)
         sim = small_sim(seed=7, evals=60)
-        mem = run_sim(fleet, setup, sim)
-        fs = run_sim(fleet, setup, sim, backend=FsBackend(str(tmp_path)))
-        assert mem == fs
+        # The second fleet's ids are not ASCII: file offsets count bytes,
+        # memory ones characters.
+        fleets = (homogeneous_fleet(3), tuple(SimWorker(id=f"w\u00e9{i}") for i in range(3)))
+        for number, fleet in enumerate(fleets):
+            path = tmp_path / str(number)
+            path.mkdir()
+            mem = run_sim(fleet, setup, sim)
+            fs = run_sim(fleet, setup, sim, backend=FsBackend(str(path)))
+            assert mem == fs
 
 
 class TestAccounting:
