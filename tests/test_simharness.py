@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CountingBackend
 from idleclimb.clock import VirtualClock
 from idleclimb.coordination import (
     BEST_FILE,
@@ -681,8 +682,8 @@ WINDOW_FLEET = (
 WINDOW_KILLS = (("a", 1.5), ("c", 1.5), ("b", 4.5), ("c", 4.5))
 
 
-def _exactness_run(case: str) -> tuple[str, int]:
-    """Run one named case; returns (sha256 digest, number of baton grants)."""
+def _exactness_inputs(case: str) -> tuple[tuple, dict]:
+    """The positional and keyword arguments of ``run_sim`` for one named case."""
     kind, *params = case.split("-")
     kwargs = {}
     if kind == "fleet":
@@ -720,6 +721,12 @@ def _exactness_run(case: str) -> tuple[str, int]:
         setup = default_setup(n=8, levels=2, target_order=1, init_seed=12)
         sim = SimConfig(t_eval=1.0, t_io=0.001, seed=12,
                         stop=StopCondition(max_total_evaluations=2000, stagnation_proposals=12))
+    return (fleet, setup, sim), kwargs
+
+
+def _exactness_run(case: str) -> tuple[str, int]:
+    """Run one named case; returns (sha256 digest, number of baton grants)."""
+    args, kwargs = _exactness_inputs(case)
     grants = []
     grant = VirtualKernel._grant
 
@@ -730,7 +737,7 @@ def _exactness_run(case: str) -> tuple[str, int]:
     backend = MemBackend("sim")
     VirtualKernel._grant = counting_grant
     try:
-        report = run_sim(fleet, setup, sim, backend=backend, **kwargs)
+        report = run_sim(*args, backend=backend, **kwargs)
     finally:
         VirtualKernel._grant = grant
     digest = hashlib.sha256()
@@ -895,3 +902,34 @@ class TestExactness:
     @pytest.mark.parametrize("case", sorted(EXACTNESS_PINS))
     def test_reports_stores_and_grants_are_pinned(self, case):
         assert _exactness_run(case) == EXACTNESS_PINS[case]
+
+
+# Directory operations by kind, as the store under a run's TimedBackend sees
+# them, setup and the final read included.  The digests above cannot see an
+# extra or a missing ``exists``: it has no side effect.
+STORE_OP_PINS = {
+    "fleet-change_merge-50-1": {
+        "append_line": 319, "create_exclusive": 1291, "exists": 3414, "read_tail": 350,
+        "read_text": 1755, "remove": 65, "write_atomic": 15,
+    },
+    "fleet-replace_if_better-10-2": {
+        "append_line": 324, "create_exclusive": 53, "exists": 3090, "read_tail": 310,
+        "read_text": 443, "remove": 33, "write_atomic": 24,
+    },
+    "mixed-clear-1e9": {
+        "append_line": 42, "create_exclusive": 16, "exists": 416, "read_tail": 37,
+        "read_text": 84, "remove": 14, "write_atomic": 12,
+    },
+    "ties-change_merge-0.1": {
+        "append_line": 220, "create_exclusive": 33, "exists": 2063, "read_tail": 207,
+        "read_text": 284, "remove": 24, "write_atomic": 20,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORE_OP_PINS))
+def test_the_store_sees_the_pinned_operations(case):
+    args, kwargs = _exactness_inputs(case)
+    store = CountingBackend(MemBackend("sim"))
+    run_sim(*args, backend=store, **kwargs)
+    assert dict(store.ops) == STORE_OP_PINS[case]
