@@ -34,6 +34,7 @@ from .coordination import (
     ChangeProposal,
     Committed,
     CoordinationError,
+    FormatError,
     JobDirectory,
     LockContentionError,
     ShareUnreachableError,
@@ -121,6 +122,17 @@ class StopCondition:
     target_performance: float | None = None
     stagnation_proposals: int | None = None
 
+    def __post_init__(self):
+        # Each test is written so that NaN fails it: a NaN target never
+        # fires.  A budget of 0 stops at the first loop top.
+        if self.max_total_evaluations is not None and not self.max_total_evaluations >= 0:
+            raise ValueError("max_total_evaluations must be non-negative")
+        if self.target_performance is not None and not (
+                -math.inf <= self.target_performance <= math.inf):
+            raise ValueError("target_performance must be a number, not NaN")
+        if self.stagnation_proposals is not None and not self.stagnation_proposals >= 0:
+            raise ValueError("stagnation_proposals must be non-negative")
+
     def satisfied(self, best_performance: float, fleet_evaluations: int) -> bool:
         if self.max_total_evaluations is not None and fleet_evaluations >= self.max_total_evaluations:
             return True
@@ -135,8 +147,13 @@ class StopCondition:
 
     @staticmethod
     def from_manifest(params: Mapping[str, str]) -> "StopCondition":
-        """The stop keys of a manifest; a malformed value is a :class:`FormatError`."""
-        return StopCondition(**convert_fields(params, STOP_KEYS))
+        """The stop keys of a manifest; a malformed or out-of-range value is a
+        :class:`FormatError`."""
+        fields = convert_fields(params, STOP_KEYS)
+        try:
+            return StopCondition(**fields)
+        except ValueError as exc:
+            raise FormatError(f"stop condition: {exc}") from None
 
 
 

@@ -80,6 +80,9 @@ class TraceProbe:
     idle_since: float = 0.0
 
     def __post_init__(self):
+        # Each test is written so that NaN fails it.
+        if not all(-math.inf <= t <= math.inf for t in (self.idle_since, *self.activity_times)):
+            raise ValueError("idle_since and activity timestamps must not be NaN")
         if any(b < a for a, b in zip(self.activity_times, self.activity_times[1:])):
             raise ValueError("activity timestamps must be non-decreasing")
 
@@ -327,6 +330,18 @@ def parse_worker_config(text: str) -> WorkerConfig:
     )
 
 
+def _tick_time_error(now: float, idle: float | None) -> str | None:
+    """What is wrong with ``worker tick``'s ``--now`` and ``--idle``, or None.
+    Each test is written so that NaN fails it."""
+    try:
+        time.localtime(now)  # as WallClock.time_of_day will
+    except (OverflowError, OSError, ValueError):
+        return f"--now {now!r} is not a Unix time this platform can read"
+    if idle is not None and not 0 <= idle < math.inf:
+        return f"--idle {idle!r} must be non-negative and finite"
+    return None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="idleclimb worker", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -358,6 +373,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     if args.command == "tick":
+        problem = _tick_time_error(args.now, args.idle)
+        if problem is not None:
+            print(f"error=tick {problem}", file=sys.stderr)
+            return 2
         if args.idle is not None:
             probe: IdleProbe = TraceProbe(idle_since=args.now - args.idle)
         else:

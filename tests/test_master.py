@@ -80,6 +80,11 @@ class TestInit:
         (["--n", "abc"], "n='abc'"),
         (["--stop-target", "soon"], "stop_target='soon'"),
         (["--init-config", "zeros"], "'zeros'"),
+        # Each of these used to be written to the manifest; a NaN target
+        # never fires.
+        (["--stop-target", "nan"], "target_performance"),
+        (["--stop-max-evals", "-5"], "max_total_evaluations"),
+        (["--stop-stagnation", "-1"], "stagnation_proposals"),
     ])
     def test_a_malformed_option_is_named_and_nothing_is_written(self, tmp_path, capsys,
                                                                  option, named):

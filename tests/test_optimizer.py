@@ -264,6 +264,23 @@ def test_malformed_stop_value_is_a_format_error(key):
         StopCondition.from_manifest({key: "soon"})
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("stop_max_evals", "-5", "max_total_evaluations"),
+    # NaN fails every comparison: a NaN target never fired.
+    ("stop_target", "nan", "target_performance"),
+    ("stop_stagnation", "-1", "stagnation_proposals"),
+])
+def test_an_out_of_range_stop_value_is_a_format_error(key, value, named):
+    with pytest.raises(FormatError, match=named):
+        StopCondition.from_manifest({key: value})
+
+
+def test_a_zero_budget_and_an_infinite_target_are_stop_conditions():
+    stop = StopCondition(max_total_evaluations=0, target_performance=math.inf,
+                         stagnation_proposals=0)
+    assert stop.satisfied(0.5, 0) and not replace(stop, max_total_evaluations=1).satisfied(0.5, 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.builds(StopCondition,
                  max_total_evaluations=st.none() | st.integers(0, 10**12),

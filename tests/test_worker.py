@@ -399,6 +399,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="whitespace"):
             WorkerConfig(jobs=("x",), worker_id=worker_id)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"idle_since": math.nan}, {"activity_times": (math.nan,)},
+        {"activity_times": (1.0, math.nan)}, {"activity_times": (math.nan, 1.0)},
+    ])
+    def test_a_nan_trace_time_is_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="NaN"):
+            TraceProbe(**kwargs)
+
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_worker_config("nonsense\n")
@@ -470,6 +478,27 @@ class TestCli:
             monkeypatch.undo()
             time.tzset()
         assert capsys.readouterr().out.startswith("decision=start")
+
+    @pytest.mark.parametrize("times, named", [
+        # time.localtime raised on these, and the tick crashed.
+        (["--now", "nan"], "--now nan"),
+        (["--now", "inf"], "--now inf"),
+        (["--now", "1e300"], "--now 1e+300"),
+        # A NaN idle time read as "not idle", and a negative one as 0.
+        (["--now", "50400", "--idle", "nan"], "--idle nan"),
+        (["--now", "50400", "--idle", "-5"], "--idle -5.0"),
+        (["--now", "50400", "--idle", "inf"], "--idle inf"),
+    ])
+    def test_tick_rejects_a_time_it_cannot_use(self, tmp_path, capsys, times, named):
+        from idleclimb import worker
+
+        config = tmp_path / "worker.conf"
+        config.write_text("job=/x\n")
+        assert worker.main(["tick", "--config", str(config), *times]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error=tick ") and len(captured.err.splitlines()) == 1
+        assert named in captured.err
 
     def test_config_error_exit_code(self, tmp_path):
         from idleclimb import worker
