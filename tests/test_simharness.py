@@ -1021,6 +1021,5 @@ STORE_OP_PINS = {
 @pytest.mark.parametrize("case", sorted(STORE_OP_PINS))
 def test_the_store_sees_the_pinned_operations(case):
     args, kwargs = _exactness_inputs(case)
-    store = CountingBackend(MemBackend("sim"))
-    run_sim(*args, backend=store, **kwargs)
-    assert dict(store.ops) == STORE_OP_PINS[case]
+    _, ops = counted_run(*args, **kwargs)
+    assert ops == STORE_OP_PINS[case]
