@@ -34,8 +34,9 @@ through files in it:
     share.  Any other line, torn or malformed, is ignored.  Advisory:
     nothing reads it to decide correctness.  Readers rely on the file only
     growing: the :class:`TallyReader` objects on one backend object share
-    one fold of its tally lines, so each line is parsed once per backend,
-    not once per reader.
+    one fold of its tally lines and read on from where it ends, so readers
+    that refresh in turn read and parse each line once between them, not
+    once each.  A forced :func:`publish_initial` starts the file afresh.
 
 Ordinary file shares offer no compare-and-swap, so updates go through the
 lock plus a write-to-temp-then-atomic-rename discipline, and every record
@@ -53,6 +54,7 @@ checksum framing.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -568,10 +570,15 @@ def read_best(job: JobDirectory) -> BestState:
 
 
 def publish_initial(job: JobDirectory, state: BestState, force: bool = False) -> None:
-    """Write the version-0 record.  Fails if one exists, unless forced."""
+    """Write the version-0 record.  Fails if one exists, unless forced; a
+    forced one also starts changes.log afresh, so the old job's commits and
+    tallies do not count towards the new one's."""
     data = serialize_best(state)
     if force:
         job.backend.write_atomic(BEST_FILE, data)
+        job.backend.write_atomic(CHANGES_FILE, "")
+        with _FOLDS_LOCK, contextlib.suppress(TypeError):  # unhashable: nothing shared
+            _FOLDS.pop(job.backend, None)
         return
     if not job.backend.create_exclusive(BEST_FILE, data):
         raise AlreadyInitializedError(
@@ -763,7 +770,7 @@ class _TallyFold:
 
 
 # One fold per backend object, shared by every reader on it; it goes with
-# the backend.
+# the backend, or when publish_initial replaces the log.
 _FOLDS: "weakref.WeakKeyDictionary[Backend, _TallyFold]" = weakref.WeakKeyDictionary()
 _FOLDS_LOCK = threading.Lock()
 
@@ -784,22 +791,23 @@ class TallyReader:
 
     Tally counters are cumulative per worker, so only each worker's latest
     line matters; reading just the file tail keeps the per-check cost flat.
-    An incomplete final line waits in ``_pending`` for the next refresh.
 
-    Every reader on the same backend object shares one fold of the log.  A
-    refresh reads its own tail from its own offset, as an unshared reader
-    would, but parses only the part of it past the fold's end, and then
-    takes the fold's tallies as its snapshot.  In a simulated fleet p
-    readers share one backend, so each tally line is parsed once rather
-    than p times.  The fold relies on changes.log only growing: a reader
-    whose read ends at or before the fold's end takes the fold as it is,
-    and the fold never moves back, except when a read from offset 0 finds
-    the log shorter than the fold (the file was replaced), which starts the
-    fold afresh.  A reader whose offset is past the fold's end folds its
-    tail into its own snapshot.  Offsets are bytes on disk and characters
-    in memory, so the fold's end is a position in the tail only when the
-    tail is ASCII; otherwise the reader's whole text is refolded, which
-    changes nothing it already held.
+    Every reader on the same backend object shares one fold of the log and
+    keeps no offset of its own.  A refresh reads the log from the fold's
+    end, folds that tail in if its read ends past the fold's end by then
+    (another reader may have moved it; refolding a line changes nothing,
+    since only each worker's last line counts), and takes the fold's
+    tallies as its snapshot.  An incomplete final line waits in the fold
+    for the next refresh.  So readers on one backend that refresh in turn
+    read and parse each tally line once between them; readers whose
+    refreshes overlap may read the same tail.  In a simulated fleet p
+    readers share one backend.  The fold relies on changes.log only
+    growing.  The one writer that replaces it, :func:`publish_initial` when
+    forced, drops the backend's fold, so a reader made after that on the
+    same backend object reads the new log.  Older readers, and readers on
+    other backend objects, keep their folds: a process that holds a job
+    handle across a forced init opens the job again, as the daemon does at
+    each tick.
 
     A fold keeps each worker's latest matched fields as text and a running
     sum of their ``evals``: it converts only the ``evals`` of the workers
@@ -811,32 +819,18 @@ class TallyReader:
     def __init__(self, job: JobDirectory):
         self._job = job
         self._fold = _shared_fold(job.backend)
-        self._offset = 0
-        self._pending = ""
         self._tallies = _NO_TALLIES
 
     def refresh(self) -> None:
-        start = self._offset
-        tail, end = self._job.backend.read_tail(CHANGES_FILE, start)
-        if not tail:
-            return
-        text = self._pending + tail
-        cut = text.rfind("\n") + 1
-        self._pending = text[cut:]
-        self._offset = end
         fold = self._fold
         with fold.lock:
-            if start > fold.end:
-                self._tallies = _fold_lines(self._tallies, text, cut)
-                return
+            start, pending = fold.end, fold.pending
+        tail, end = self._job.backend.read_tail(CHANGES_FILE, start)
+        with fold.lock:
             if end > fold.end:
-                if tail.isascii():
-                    text = fold.pending + tail[fold.end - start:]
-                    cut = text.rfind("\n") + 1
+                text = pending + tail
+                cut = text.rfind("\n") + 1
                 fold.tallies = _fold_lines(fold.tallies, text, cut)
-                fold.end, fold.pending = end, text[cut:]
-            elif start == 0 and end < fold.end:
-                fold.tallies = _fold_lines(_NO_TALLIES, text, cut)
                 fold.end, fold.pending = end, text[cut:]
             self._tallies = fold.tallies
 

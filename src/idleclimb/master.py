@@ -44,6 +44,9 @@ def cmd_init(args) -> int:
         return EXIT_USAGE
     job_id = args.job_id or os.path.basename(os.path.abspath(args.dir))
     job = coord.JobDirectory.create(args.dir, job_id)
+    if args.force and coord.signal_exists(job):
+        print("error=job still running (stop it before re-initializing)", file=sys.stderr)
+        return EXIT_STATE
     manifest = objective.manifest_params()
     manifest.update(stop.manifest_params())
     coord.write_manifest(job, manifest)

@@ -12,16 +12,13 @@ Concurrency is event interleaving only.  Every worker runs on its own
 thread, but exactly one thread is ever runnable: a thread whose directory
 operation is not the earliest pending event parks itself in the event queue
 and hands the baton directly to whoever is due next, without a relay
-through the main thread.  All task threads are pinned to one CPU of the
-caller's allowed set: only one of them can run at a time anyway, and a
-baton passed to a thread asleep on another core costs a cross-core wake-up,
-which dominated the simulator's wall time.  Each pinned task thread also
-runs under ``SCHED_BATCH`` (sched(7)) where the platform grants it: under
-the default policy the thread a baton wakes preempts the waker, which still
-holds the GIL, so one handoff cost several context switches instead of one.
-In a lock ping-pong between two threads pinned to one CPU of a 2-core VM a
-handoff took 3.2-4.4 us under the default policy and 1.5-2.3 us under
-``SCHED_BATCH`` (``BENCH_17.json``).  Events run in (time, worker id)
+through the main thread.  Each task thread runs under ``SCHED_BATCH``
+(sched(7)) where the platform grants it: under the default policy the
+thread a baton wakes preempts the waker, which still holds the GIL, so one
+handoff cost several context switches instead of one (``BENCH_17.json``).
+Task threads keep the caller's CPU set: pinning them all to one CPU
+measured no faster under ``SCHED_BATCH`` on a 2-core VM
+(``BENCH_20.json``).  Events run in (time, worker id)
 order, and a task has at most one queued event, so a run is a pure
 function of (fleet, job setup, sim config, seed) and reports compare
 bit-for-bit across runs and across directory backends.
@@ -29,9 +26,12 @@ bit-for-bit across runs and across directory backends.
 A run has one :class:`TimedBackend`, which charges every directory
 operation to the task holding the baton.  The simulated workers' tally
 readers therefore share one fold of changes.log
-(:class:`~idleclimb.coordination.TallyReader`), and each tally line is
-parsed once per run rather than once per worker.  At p = 50 that made the
-simulator about 1.4 times faster, with the same reports (``BENCH_18.json``).
+(:class:`~idleclimb.coordination.TallyReader`) and read the log on from
+where the fold ends, rather than each from its own offset.  At p = 50 that
+made the simulator about 1.4 times faster, with the same reports
+(``BENCH_18.json``).  A reader takes the fold's end before its tail read
+parks it, so readers that park together read the same tail
+(``BENCH_20.json``).
 
 A sleep (an evaluation slice, a poll interval, a lock backoff) is not a
 scheduling point: the sleeping task's clock runs ahead of the queue, and
@@ -137,21 +137,8 @@ class _Task:
         self.voided: int | None = None  # the index of the first one a removal voided
 
 
-# The policy of every pinned task thread, where the platform has it.
+# The policy of every task thread, where the platform has it.
 _SCHED_BATCH = getattr(os, "SCHED_BATCH", None) if hasattr(os, "sched_setscheduler") else None
-
-
-def _task_cpu() -> int | None:
-    """The one CPU every simulator task thread runs on, or None where CPU
-    affinity is unavailable.  Concurrent simulator processes pick different
-    CPUs of the caller's allowed set."""
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    try:
-        allowed = sorted(os.sched_getaffinity(0))
-    except OSError:
-        return None
-    return allowed[os.getpid() % len(allowed)]
 
 
 class VirtualKernel:
@@ -173,13 +160,11 @@ class VirtualKernel:
     reached, and ``current`` the task last granted the baton: the one
     running, whom a shared :class:`TimedBackend` charges.
     Exactly one thread runs at any instant, which is what makes runs
-    deterministic, and all task threads are pinned to one CPU, so a handoff
-    never wakes a thread on another core (with the GIL, that cross-core
-    wake dominated a handoff's cost).  A pinned task thread also switches
-    itself to ``SCHED_BATCH`` where that is granted, so that the thread a
-    baton wakes waits for the waker to block instead of preempting it while
-    it holds the GIL; a refusal keeps the default policy and changes no
-    result.  The caller's thread keeps its CPU set and policy.
+    deterministic.  Each task thread switches itself to ``SCHED_BATCH``
+    where that is granted, so that the thread a baton wakes waits for the
+    waker to block instead of preempting it while it holds the GIL; a
+    refusal keeps the default policy and changes no result.  Task threads
+    run on the caller's CPU set, and the caller's thread keeps its policy.
     """
 
     def __init__(self, horizon: float = math.inf):
@@ -192,7 +177,6 @@ class VirtualKernel:
         self._main_baton = threading.Lock()
         self._main_baton.acquire()
         self._stopping = False
-        self._cpu = _task_cpu()
 
     def spawn(self, name: str, fn: Callable[[], None]) -> None:
         if name in self._tasks:
@@ -202,11 +186,9 @@ class VirtualKernel:
         self._tasks[name] = task
 
         def body():
-            if self._cpu is not None:
+            if _SCHED_BATCH is not None:
                 try:
-                    os.sched_setaffinity(0, {self._cpu})
-                    if _SCHED_BATCH is not None:
-                        os.sched_setscheduler(0, _SCHED_BATCH, os.sched_param(0))
+                    os.sched_setscheduler(0, _SCHED_BATCH, os.sched_param(0))
                 except OSError:
                     pass
             task.baton.acquire()

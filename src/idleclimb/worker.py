@@ -22,6 +22,7 @@ import logging
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -301,11 +302,18 @@ def _run_one_loop(config, probe, clock, cancel, job, report,
 # Configuration file and command line
 
 
+_CLOCK_TIME = re.compile(r"([0-9]{1,2}):([0-9]{2})")
+
+
 def parse_time_of_day(text: str) -> float:
+    """Seconds after midnight, from ``HH:MM`` (hours 0-23, minutes 0-59,
+    digits only) or from a plain number of seconds."""
     text = text.strip()
     if ":" in text:
-        hours, minutes = text.split(":", 1)
-        return int(hours) * 3600.0 + int(minutes) * 60.0
+        clock = _CLOCK_TIME.fullmatch(text)
+        if clock is None or int(clock[1]) > 23 or int(clock[2]) > 59:
+            raise ValueError("expected HH:MM with hours 0-23 and minutes 0-59")
+        return int(clock[1]) * 3600.0 + int(clock[2]) * 60.0
     return float(text)
 
 

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import random
 import re
+import sys
 import tempfile
 import threading
 import time
@@ -566,6 +567,33 @@ class _ChunkedLog(MemBackend):
         return data[offset:], max(offset, len(data))
 
 
+class _TailCounting(MemBackend):
+    """A directory that counts the characters its tail reads return."""
+
+    def __init__(self):
+        super().__init__()
+        self.tail_chars = 0
+
+    def read_tail(self, name, offset):
+        tail, end = super().read_tail(name, offset)
+        self.tail_chars += len(tail)
+        return tail, end
+
+
+class _Overtaken(MemBackend):
+    """A directory that runs ``overtake`` once, after the next tail read
+    and before the reader gets its result."""
+
+    overtake = None
+
+    def read_tail(self, name, offset):
+        result = super().read_tail(name, offset)
+        hook, self.overtake = self.overtake, None
+        if hook is not None:
+            hook()
+        return result
+
+
 worker_ids = st.text(
     st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6
 ).filter(lambda s: not any(c.isspace() for c in s))
@@ -626,22 +654,62 @@ class TestTallyReader:
         assert TallyReader(job)._fold is a._fold
         assert read_fleet_tally(job) == b.per_worker
 
-    def test_a_replaced_shorter_log_gives_the_new_files_tallies(self, mem_job):
+    def test_a_forced_publish_initial_gives_the_new_logs_tallies(self, mem_job):
         job = mem_job()
+        publish_initial(job, state(performance=1.0))
+        commit_update(job, state(version=1, performance=2.0), change=proposal())
         for i in range(3):
             append_tally(job, f"w{i}", WorkerTally(evaluations=10 + i))
         assert len(read_fleet_tally(job)) == 3
-        job.backend.write_atomic(CHANGES_FILE, "#tally w9 " + WorkerTally(evaluations=2).text()
-                                 + "\n#tally w")
-        assert read_fleet_tally(job) == {"w9": WorkerTally(evaluations=2)}
+        publish_initial(job, state(performance=0.5), force=True)
+        assert job.backend.read_text(CHANGES_FILE) == ""
+        assert read_fleet_tally(job) == {} and read_commit_log(job) == []
+        append_tally(job, "w9", WorkerTally(evaluations=2))
         reader = TallyReader(job)
         reader.refresh()
+        assert reader.per_worker == {"w9": WorkerTally(evaluations=2)}
         assert reader.evaluations_excluding("w0") == 2
-        # The append completes the new file's torn final line.
-        job.backend.append_line(CHANGES_FILE, "8 " + WorkerTally(evaluations=4).text())
+        append_tally(job, "w8", WorkerTally(evaluations=4))
         reader.refresh()
         assert reader.per_worker == {"w9": WorkerTally(evaluations=2),
                                      "w8": WorkerTally(evaluations=4)}
+
+    def test_readers_on_one_backend_read_each_character_once(self):
+        backend = _TailCounting()
+        job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="t")
+        readers = [TallyReader(job) for _ in range(3)]
+        expected = {}
+        for i in range(30):
+            tally = WorkerTally(evaluations=i, commits=i % 3)
+            append_tally(job, f"w{i % 4}", tally)
+            expected[f"w{i % 4}"] = tally
+            if i % 4 == 0:
+                backend.append_line(CHANGES_FILE, f"{i} 1 2 0.5 w1")  # a commit line
+            readers[i % 3].refresh()
+        for reader in readers:
+            reader.refresh()
+            assert reader.per_worker == expected
+        assert backend.tail_chars == len(backend.read_text(CHANGES_FILE))
+        publish_initial(job, state(), force=True)
+        append_tally(job, "w9", WorkerTally(evaluations=1))
+        fresh = TallyReader(job)
+        fresh.refresh()
+        assert fresh.per_worker == {"w9": WorkerTally(evaluations=1)}
+        assert fresh.evaluations_excluding("w9") == 0
+
+    def test_a_read_overtaken_by_a_later_refresh_keeps_the_later_tallies(self):
+        # As a simulated reader parks inside its tail read: another reader
+        # refreshes past it before its read is folded.
+        backend = _Overtaken()
+        job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="t")
+        append_tally(job, "w1", WorkerTally(evaluations=1))
+        slow, fast = TallyReader(job), TallyReader(job)
+        backend.overtake = lambda: (append_tally(job, "w1", WorkerTally(evaluations=2)),
+                                    fast.refresh())
+        slow.refresh()
+        assert slow.per_worker == fast.per_worker == {"w1": WorkerTally(evaluations=2)}
+        assert slow._fold.end == len(backend.read_text(CHANGES_FILE))
+        assert read_fleet_tally(job) == {"w1": WorkerTally(evaluations=2)}
 
     def test_a_reader_behind_the_fold_takes_it_and_never_rewinds_it(self):
         backend = _ChunkedLog()
@@ -726,10 +794,18 @@ class TestTallyReader:
                 barrier.abort()
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        # Switch threads often, so that refreshes interleave between taking
+        # the fold's end and folding the tail read from it.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         if errors:
             raise errors[0]
         expected = {f"w{i}": WorkerTally(evaluations=rounds) for i in range(workers)}

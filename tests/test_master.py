@@ -54,6 +54,39 @@ class TestInit:
                               "random", "--seed", "3")
         assert code == 0
 
+    def test_force_on_a_used_job_starts_a_fresh_log(self, tmp_path, capsys):
+        jobdir = str(tmp_path / "job")
+        assert run(capsys, "init", jobdir, "--stop-max-evals", "50")[0] == 0
+        run(capsys, "start", jobdir)
+        job = JobDirectory.open(jobdir)
+        obj = PhaseMaskObjective(length=8, level_count=2, target_order=1)
+        stop = StopCondition(max_total_evaluations=50)
+        first = work_loop(job, "w", obj, OptimizerMode.REPLACE_IF_BETTER, stop,
+                          rng=random.Random(5))
+        assert first.exit_reason == "stop_condition" and read_commit_log(job)
+        assert run(capsys, "init", jobdir, "--stop-max-evals", "50", "--force",
+                   "--seed", "2")[0] == 0
+        assert read_commit_log(job) == [] and read_best(job).version == 0
+        run(capsys, "start", jobdir)
+        job = JobDirectory.open(jobdir)  # as the next daemon tick opens it
+        again = work_loop(job, "w", obj, OptimizerMode.REPLACE_IF_BETTER, stop,
+                          rng=random.Random(6))
+        assert again.evaluations >= 50
+        assert [line[0] for line in read_commit_log(job)] == list(
+            range(1, read_best(job).version + 1))
+
+    def test_force_while_the_signal_is_present_exits_3_and_writes_nothing(self, tmp_path,
+                                                                         capsys):
+        jobdir = tmp_path / "job"
+        run(capsys, "init", str(jobdir))
+        run(capsys, "start", str(jobdir))
+        append_tally(JobDirectory.open(str(jobdir)), "w", WorkerTally(evaluations=3))
+        before = {path.name: path.read_bytes() for path in jobdir.iterdir()}
+        code, values, err = run(capsys, "init", str(jobdir), "--force", "--n", "16")
+        assert code == 3 and not values
+        assert err.startswith("error=") and len(err.splitlines()) == 1
+        assert {path.name: path.read_bytes() for path in jobdir.iterdir()} == before
+
     def test_random_init_deterministic_across_dirs(self, tmp_path, capsys):
         a = run(capsys, "init", str(tmp_path / "a"), "--init-config", "random",
                 "--seed", "7")[1]

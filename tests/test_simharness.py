@@ -710,7 +710,7 @@ class TestHandoff:
         assert (os.sched_getaffinity(0), os.sched_getscheduler(0), os.sched_getparam(0)) == before
 
     @needs_affinity
-    def test_every_task_thread_runs_on_one_cpu_of_the_callers_set(self):
+    def test_every_task_thread_runs_under_sched_batch_on_the_callers_cpu_set(self):
         allowed = os.sched_getaffinity(0)
         policy = os.SCHED_BATCH if batch_granted() else os.sched_getscheduler(0)
         base = default_setup(init_seed=4)
@@ -720,8 +720,7 @@ class TestHandoff:
         task_sets = {name: cpus for name, cpus in probe.seen.items()
                      if name.startswith("sim-")}
         assert len(task_sets) == 4
-        cpus = set().union(*task_sets.values())
-        assert len(cpus) == 1 and cpus <= allowed
+        assert all(cpus == allowed for cpus in task_sets.values())
         assert {probe.policies[name] for name in task_sets} == {policy}
 
     @needs_affinity

@@ -357,6 +357,10 @@ class TestConfigParsing:
         assert parse_time_of_day("12:00") == 43200.0
         assert parse_time_of_day("09:30") == 34200.0
         assert parse_time_of_day("3600") == 3600.0
+        assert parse_time_of_day("23:59") == 86340.0
+        for text in ("24:00", "9:5", "+9:05", "09:05:00"):
+            with pytest.raises(ValueError, match="HH:MM"):
+                parse_time_of_day(text)
 
     def test_missing_jobs_rejected(self):
         with pytest.raises(ValueError):
@@ -378,6 +382,10 @@ class TestConfigParsing:
         ("poll_interval=nan", "poll_interval"),
         ("idle_threshold=nan", "idle_threshold"),
         ("daily_start=nan", "daily_start"),
+        # Read as 13:15, 11:55 and 00:30 before clock times were range-checked.
+        ("daily_start=12:75", "daily_start"),
+        ("daily_start=12:-5", "daily_start"),
+        ("daily_start=-0:30", "daily_start"),
     ])
     def test_cli_config_error_exits_2(self, tmp_path, capsys, monkeypatch, command, line, named):
         from idleclimb import worker
