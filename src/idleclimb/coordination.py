@@ -44,11 +44,13 @@ carries a checksum so a torn write is rejected instead of parsed.  All
 operations are safe to call concurrently from independent processes; the
 lock file is the only mutual exclusion there is.
 
-Every ``key=value`` file except best.dat (the lock, the manifest, and the
+Every ``key=value`` file (best.dat, the lock, the manifest, and the
 simulator's scenario and the daemon's configuration files) is read by one
 codec, :func:`parse_fields`, and its values are converted by one rule,
-:func:`convert_fields`.  best.dat keeps its own parser because of its
-checksum framing.
+:func:`convert_fields`.  best.dat's body, the lines before its first
+``checksum=`` line, goes through the same codec, so blank and ``#`` lines
+in it are skipped and its keys and values are stripped; the checksum still
+covers the body's bytes exactly as written.
 """
 
 from __future__ import annotations
@@ -145,6 +147,17 @@ PROTOCOL_FILES = (SIGNAL_FILE, BEST_FILE, LOCK_FILE, MANIFEST_FILE, CHANGES_FILE
 _READ_CHUNK = 1 << 16
 
 
+def _link_once(tmp: str, path: str) -> bool:
+    """Hardlink ``tmp`` to ``path`` unless ``path`` exists, then drop ``tmp``."""
+    try:
+        os.link(tmp, path)
+        return True
+    except FileExistsError:
+        return False
+    finally:
+        os.unlink(tmp)
+
+
 class FsBackend:
     """A real directory on a local disk or a mounted share."""
 
@@ -216,35 +229,28 @@ class FsBackend:
         data = decoder.decode(raw)
         return data, offset + len(raw) - len(decoder.getstate()[0])
 
-    def write_atomic(self, name: str, data: str) -> None:
+    def _place(self, name: str, data: str, place: Callable[[str, str], Any]) -> Any:
+        """Write ``data`` to a fresh temp file and ``place(tmp, path)`` it at
+        ``name``'s path, so a reader never sees a half-written file.  The
+        temp file never outlives the call: ``place`` leaves none, and on any
+        failure it is removed here."""
         tmp = self._tmp_name(name)
         try:
             with open(tmp, "w", encoding="utf-8", newline="") as fh:
                 fh.write(data)
-            os.replace(tmp, self._full(name))
-        except OSError as exc:
-            try:
+            return place(tmp, self._full(name))
+        except BaseException as exc:
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
-            raise self._check_dir(exc) from exc
+            if isinstance(exc, OSError):
+                raise self._check_dir(exc) from exc
+            raise
+
+    def write_atomic(self, name: str, data: str) -> None:
+        self._place(name, data, os.replace)
 
     def create_exclusive(self, name: str, data: str) -> bool:
-        # Write the content to a temp file first and hardlink it into place,
-        # so a reader never sees a half-written exclusive file.
-        tmp = self._tmp_name(name)
-        try:
-            with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(data)
-            try:
-                os.link(tmp, self._full(name))
-                return True
-            except FileExistsError:
-                return False
-            finally:
-                os.unlink(tmp)
-        except OSError as exc:
-            raise self._check_dir(exc) from exc
+        return self._place(name, data, _link_once)
 
     def append_line(self, name: str, line: str) -> None:
         try:
@@ -439,9 +445,11 @@ def parse_fields(
     return fields
 
 
-def convert_fields(
-    fields: Mapping[str, Any], kinds: Mapping[str, tuple[str, Callable[[str], Any]]]
-) -> dict[str, Any]:
+# What a key=value front end converts: key -> (argument name, conversion).
+Kinds = Mapping[str, tuple[str, Callable[[str], Any]]]
+
+
+def convert_fields(fields: Mapping[str, Any], kinds: Kinds) -> dict[str, Any]:
     """Keyword arguments from the keys of ``kinds`` present in ``fields``:
     ``kinds`` maps a key to the argument it fills and the callable that
     converts its value.  An absent key is left out, so the callee's default
@@ -454,6 +462,21 @@ def convert_fields(
             except ValueError as exc:
                 raise FormatError(f"{key}={fields[key]!r}: {exc}") from None
     return arguments
+
+
+def build_record(cls: Callable[..., Any], fields: Mapping[str, Any], kinds: Kinds,
+                 source: str, *, required: bool = True) -> Any:
+    """``cls(**convert_fields(fields, kinds))``.  A key of ``kinds`` missing
+    from ``fields`` (when ``required``), a value that does not convert and
+    one ``cls`` rejects are each a :class:`FormatError` naming ``source``."""
+    if required:
+        for key in kinds:
+            if key not in fields:
+                raise FormatError(f"{source}: missing {key}= line")
+    try:
+        return cls(**convert_fields(fields, kinds))
+    except ValueError as exc:
+        raise FormatError(f"{source}: {exc}") from None
 
 
 def reject_unknown(fields: Mapping[str, Any], known: Collection[str], source: str) -> None:
@@ -508,9 +531,25 @@ def serialize_best(state: BestState) -> str:
     return body + f"checksum={_checksum(body)}\n"
 
 
+# best.dat's keys, as _best_state takes them.
+_BEST_KEYS = {"version": ("version", int), "performance": ("performance", float),
+              "estimated": ("estimated", lambda text: text == "1"),
+              "updated_by": ("updated_by", str), "updated_at": ("updated_at", float),
+              "n": ("n", int), "config": ("config", lambda text: tuple(map(int, text.split())))}
+
+
+def _best_state(n: int, **fields) -> BestState:
+    state = BestState(**fields)
+    if len(state.config) != n:
+        raise ValueError(f"config: expected {n} values, got {len(state.config)}")
+    return state
+
+
 @functools.lru_cache(maxsize=16)
 def parse_best(text: str) -> BestState:
-    """Parse and verify one best.dat text.
+    """Parse and verify one best.dat text: the lines before the first
+    ``checksum=`` line are read by :func:`parse_fields`, and that line must
+    hold the checksum of their bytes.
 
     Memoised on the exact text: workers re-read an unchanged record at every
     proposal, and a byte-identical text needs no second check.  Any other
@@ -518,44 +557,15 @@ def parse_best(text: str) -> BestState:
     text raises every time, since failures are not cached.
     """
     lines = text.splitlines(keepends=True)
-    fields: dict[str, str] = {}
-    body_end = None
-    for i, raw in enumerate(lines):
-        line = raw.rstrip("\n")
-        if "=" not in line:
-            raise FormatError(f"best.dat line {i + 1}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        if key == "checksum":
-            body_end = i
-            fields[key] = value
-            break
-        fields[key] = value
-    if body_end is None:
+    end = next((i for i, line in enumerate(lines) if line.startswith("checksum=")), None)
+    body = "".join(lines[:end])
+    fields = parse_fields(body, BEST_FILE)
+    if end is None:
         raise FormatError("best.dat: missing checksum line")
-    expected = _checksum("".join(lines[:body_end]))
-    if fields["checksum"] != expected:
-        raise FormatError(
-            f"best.dat line {body_end + 1}: checksum {fields['checksum']!r} "
-            f"does not match contents"
-        )
-    try:
-        n = int(fields["n"])
-        config = tuple(int(v) for v in fields["config"].split())
-        state = BestState(
-            version=int(fields["version"]),
-            config=config,
-            performance=float(fields["performance"]),
-            estimated=fields["estimated"] == "1",
-            updated_by=fields["updated_by"],
-            updated_at=float(fields["updated_at"]),
-        )
-    except KeyError as exc:
-        raise FormatError(f"best.dat: missing {exc.args[0]}= line") from exc
-    except ValueError as exc:
-        raise FormatError(f"best.dat: {exc}") from exc
-    if len(config) != n:
-        raise FormatError(f"best.dat config line: expected {n} values, got {len(config)}")
-    return state
+    found = lines[end].rstrip("\n").partition("=")[2]
+    if found != _checksum(body):
+        raise FormatError(f"best.dat line {end + 1}: checksum {found!r} does not match contents")
+    return build_record(_best_state, fields, _BEST_KEYS, BEST_FILE)
 
 
 def read_best(job: JobDirectory) -> BestState:

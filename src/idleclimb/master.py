@@ -47,10 +47,9 @@ def cmd_init(args) -> int:
     if args.force and coord.signal_exists(job):
         print("error=job still running (stop it before re-initializing)", file=sys.stderr)
         return EXIT_STATE
-    manifest = objective.manifest_params()
-    manifest.update(stop.manifest_params())
-    coord.write_manifest(job, manifest)
+    # The manifest follows version 0, so an init that is refused writes nothing.
     state = optimizer.initialize(job, config, objective, force=args.force)
+    coord.write_manifest(job, {**objective.manifest_params(), **stop.manifest_params()})
     _print("job_id", job.job_id)
     _print("version", state.version)
     _print("performance", f"{state.performance:.17g}")

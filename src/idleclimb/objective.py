@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Mapping, Protocol
 
 import numpy as np
 
-from .coordination import FormatError, convert_fields
+from .coordination import FormatError, build_record
 
 Config = tuple[int, ...]
 
@@ -47,7 +47,7 @@ def _levels(level_count: int) -> frozenset[int]:
 
 
 def validate_config(config: Config, length: int, level_count: int) -> None:
-    """Raise ValueError unless ``config`` has ``length`` elements, each in
+    """Raise FormatError unless ``config`` has ``length`` elements, each in
     ``[0, level_count)``.  A valid configuration passes in one set check;
     only one that fails it is walked element by element, to name the first
     bad element (or to raise the TypeError of a non-numeric one)."""
@@ -57,10 +57,10 @@ def validate_config(config: Config, length: int, level_count: int) -> None:
     except TypeError:  # an unhashable element; the walk below names it
         pass
     if len(config) != length:
-        raise ValueError(f"config has {len(config)} elements, expected {length}")
+        raise FormatError(f"config has {len(config)} elements, expected {length}")
     for i, v in enumerate(config):
         if not 0 <= v < level_count:
-            raise ValueError(f"config[{i}]={v} outside [0, {level_count})")
+            raise FormatError(f"config[{i}]={v} outside [0, {level_count})")
 
 
 _MANIFEST_KEYS = {"n": ("length", int), "levels": ("level_count", int),
@@ -146,11 +146,4 @@ def from_manifest(params: Mapping[str, str]) -> PhaseMaskObjective:
     kind = params.get("objective", "")
     if kind != "phase_mask":
         raise FormatError(f"unknown objective {kind!r}")
-    for key in _MANIFEST_KEYS:
-        if key not in params:
-            raise FormatError(f"missing objective key {key!r}")
-    fields = convert_fields(params, _MANIFEST_KEYS)
-    try:
-        return PhaseMaskObjective(**fields)
-    except ValueError as exc:
-        raise FormatError(f"objective: {exc}") from exc
+    return build_record(PhaseMaskObjective, params, _MANIFEST_KEYS, "objective")

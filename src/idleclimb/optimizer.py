@@ -34,15 +34,14 @@ from .coordination import (
     ChangeProposal,
     Committed,
     CoordinationError,
-    FormatError,
     JobDirectory,
     LockContentionError,
     ShareUnreachableError,
     TallyReader,
     WorkerTally,
     append_tally,
+    build_record,
     commit_update,
-    convert_fields,
     publish_initial,
     read_best,
     signal_clear,
@@ -149,11 +148,7 @@ class StopCondition:
     def from_manifest(params: Mapping[str, str]) -> "StopCondition":
         """The stop keys of a manifest; a malformed or out-of-range value is a
         :class:`FormatError`."""
-        fields = convert_fields(params, STOP_KEYS)
-        try:
-            return StopCondition(**fields)
-        except ValueError as exc:
-            raise FormatError(f"stop condition: {exc}") from None
+        return build_record(StopCondition, params, STOP_KEYS, "stop condition", required=False)
 
 
 

@@ -1,6 +1,8 @@
 """Shared-directory protocol: atomicity, CAS, locks, crash and race behavior."""
 
 import codecs
+import contextlib
+import errno
 import multiprocessing
 import os
 import random
@@ -9,9 +11,10 @@ import sys
 import tempfile
 import threading
 import time
+import types
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import CrashInjected, CrashInjectionBackend
@@ -142,6 +145,42 @@ class TestBestRecord:
         record = state(version=1, performance=value, estimated=True)
         assert parse_best(serialize_best(record)).performance == value
 
+    def test_serialized_bytes_are_pinned(self):
+        record = state(version=12, config=(3, 1, 2, 0, 1), performance=0.1 + 0.2,
+                       estimated=True, updated_by="pc-7:991", updated_at=1760000000.25)
+        assert serialize_best(record) == (
+            "version=12\nperformance=0.30000000000000004\nestimated=1\n"
+            "updated_by=pc-7:991\nupdated_at=1760000000.25\nn=5\nconfig=3 1 2 0 1\n"
+            "checksum=2ddcf1925783b03c\n")
+
+    @given(record=st.builds(
+        BestState,
+        version=st.integers(1, 10**9),
+        config=st.lists(st.integers(0, 300), min_size=1, max_size=12).map(tuple),
+        performance=st.floats(allow_nan=False, allow_infinity=False),
+        estimated=st.booleans(),
+        updated_by=st.from_regex(r"[A-Za-z0-9:._-]{1,12}", fullmatch=True),
+        updated_at=st.floats(0, 1e10),
+    ), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_single_character_edit_is_rejected(self, record, data):
+        text = serialize_best(record)
+        # Any position before the final newline: text after the checksum
+        # line is not read, and the newline ending it is optional.
+        at = data.draw(st.integers(0, len(text) - 2), label="at")
+        edit = data.draw(st.sampled_from(["substitute", "insert", "delete"]), label="edit")
+        char = data.draw(st.sampled_from(" \t\r\n#=-.0123456789abcdef") | st.characters(),
+                         label="char")
+        if edit == "substitute":
+            assume(char != text[at])
+            edited = text[:at] + char + text[at + 1:]
+        elif edit == "insert":
+            edited = text[:at] + char + text[at:]
+        else:
+            edited = text[:at] + text[at + 1:]
+        with pytest.raises(FormatError):
+            parse_best(edited)
+
     def test_read_missing_is_not_initialized(self, mem_job):
         with pytest.raises(NotInitializedError):
             read_best(mem_job())
@@ -193,7 +232,8 @@ class TestBestRecord:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda body: body.replace("estimated=0\n", ""), "missing estimated= line"),
-        (lambda body: body.replace("version=0", "version=zero"), "best.dat: invalid literal"),
+        (lambda body: body.replace("version=0", "version=zero"),
+         "best.dat: version='zero': invalid literal"),
         (lambda body: body.replace("n=4", "n=5"), "expected 5 values, got 4"),
     ], ids=["missing_key", "non_numeric", "n_mismatch"])
     def test_a_record_with_a_valid_checksum_is_still_checked(self, edit, message):
@@ -520,6 +560,10 @@ class TestTallyAndManifest:
         params = read_manifest(job)
         assert params["job_id"] == "jobbie"
         assert params["n"] == "8" and params["stop_max_evals"] == "100"
+
+    def test_a_missing_manifest_is_a_format_error(self, fs_job):
+        with pytest.raises(FormatError, match="manifest.dat missing"):
+            read_manifest(fs_job())
 
     def test_open_requires_manifest_job_id(self, tmp_path):
         path = tmp_path / "j"
@@ -1088,6 +1132,21 @@ class TestMemBackendSemantics:
         for path in (tmp_path / "gone", tmp_path / "plain"):
             with pytest.raises(ShareUnreachableError):
                 FsBackend(str(path)).exists("present")
+
+    @pytest.mark.parametrize("operation", ["write_atomic", "create_exclusive"])
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, operation):
+        def disk_full(data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        @contextlib.contextmanager
+        def open_on_a_full_disk(path, *args, **kwargs):
+            with open(path, *args, **kwargs):  # the file is created, the write fails
+                yield types.SimpleNamespace(write=disk_full)
+
+        monkeypatch.setattr(coordination, "open", open_on_a_full_disk, raising=False)
+        with pytest.raises(ShareUnreachableError, match="No space left"):
+            getattr(FsBackend(str(tmp_path)), operation)(BEST_FILE, "version=0\n")
+        assert os.listdir(tmp_path) == []
 
     def test_create_exclusive(self):
         mem = MemBackend()

@@ -47,6 +47,14 @@ class TestInit:
         assert "already initialized" in err
         assert (tmp_path / "job" / BEST_FILE).read_bytes() == before
 
+    def test_a_refused_init_leaves_the_manifest_alone(self, tmp_path, capsys):
+        jobdir = tmp_path / "job"
+        assert run(capsys, "init", str(jobdir))[0] == 0
+        before = {path.name: path.read_bytes() for path in jobdir.iterdir()}
+        code, _, err = run(capsys, "init", str(jobdir), "--n", "16", "--levels", "4")
+        assert code == 3 and "already initialized" in err
+        assert {path.name: path.read_bytes() for path in jobdir.iterdir()} == before
+
     def test_force_overwrites(self, tmp_path, capsys):
         jobdir = str(tmp_path / "job")
         run(capsys, "init", jobdir, "--init-config", "zero", "--target-order", "0")

@@ -257,10 +257,10 @@ def test_validate_config_bounds():
 def validate_config_by_loop(config, length, level_count):
     """The element-by-element check :func:`validate_config` falls back on."""
     if len(config) != length:
-        raise ValueError(f"config has {len(config)} elements, expected {length}")
+        raise FormatError(f"config has {len(config)} elements, expected {length}")
     for i, v in enumerate(config):
         if not 0 <= v < level_count:
-            raise ValueError(f"config[{i}]={v} outside [0, {level_count})")
+            raise FormatError(f"config[{i}]={v} outside [0, {level_count})")
 
 
 def _outcome(check, *args):

@@ -16,14 +16,18 @@ from idleclimb.coordination import (
     FormatError,
     FsBackend,
     JobDirectory,
+    LOCK_FILE,
     MemBackend,
     NotInitializedError,
     ShareUnreachableError,
     TALLY_KEYS,
     WorkerTally,
     commit_update,
+    parse_best,
     read_best,
+    read_commit_log,
     read_fleet_tally,
+    serialize_best,
     signal_clear,
     signal_exists,
     signal_set,
@@ -37,6 +41,7 @@ from idleclimb.objective import (
 from idleclimb.optimizer import (
     IO_RETRY_BACKOFF,
     IO_RETRY_DEADLINE,
+    MERGE_MAX_RETRIES,
     TALLY_SYNC_INTERVAL,
     OptimizerMode,
     Outcome,
@@ -256,6 +261,38 @@ class TestEvaluateAndMerge:
         assert calls["n"] == 2
         assert job.clock.now() == 2.0  # the whole evaluation ran
         assert read_best(job).version == 0
+
+
+class RivalAtEveryLock(MemBackend):
+    """Before each lock is taken, a rival commits the same configuration
+    one version on, so every commit attempt is a version conflict."""
+
+    def __init__(self):
+        super().__init__()
+        self.rivals = 0
+
+    def create_exclusive(self, name, data):
+        if name == LOCK_FILE:
+            current = parse_best(self.read_text(BEST_FILE))
+            self.write_atomic(BEST_FILE, serialize_best(
+                replace(current, version=current.version + 1, updated_by="rival")))
+            self.rivals += 1
+        return super().create_exclusive(name, data)
+
+
+@pytest.mark.parametrize("mode", list(OptimizerMode))
+def test_stale_once_every_merge_retry_conflicts(mode):
+    backend = RivalAtEveryLock()
+    job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="t")
+    initialize(job, (0,) * 8, OBJ8)
+    signal_set(job)
+    base = read_best(job)
+    outcome = evaluate_and_merge(job, base, (4, 1), OBJ8, mode, proposer="w")
+    assert outcome.kind is Outcome.REJECTED_STALE
+    assert backend.rivals == MERGE_MAX_RETRIES + 1
+    assert read_best(job).version == MERGE_MAX_RETRIES + 1
+    assert read_best(job).updated_by == "rival"
+    assert read_commit_log(job) == [] and not backend.exists(LOCK_FILE)
 
 
 @pytest.mark.parametrize("key", ["stop_max_evals", "stop_target", "stop_stagnation"])

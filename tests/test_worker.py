@@ -252,6 +252,19 @@ class TestDaemonTraces:
         assert "unknown objective" in caplog.text
 
 
+def test_a_manifest_that_disagrees_with_best_dat_fails_the_loop(caplog):
+    clock = VirtualClock(TWO_PM)
+    job = make_job(clock)  # best.dat holds 8 elements
+    write_manifest(job, {"objective": "phase_mask", "n": "16", "levels": "2",
+                         "target_order": "1"})
+    with caplog.at_level("WARNING"):
+        report = run_daemon(config_for(job), TraceProbe(idle_since=NOON), clock,
+                            cancel=lambda: clock.now() >= TWO_PM + 1800.0)
+    assert report.failed_loops >= 1 and report.loop_reports == []
+    assert read_best(job).version == 0
+    assert "config has 8 elements, expected 16" in caplog.text
+
+
 class CountingProbe:
     """A scripted probe that counts its calls."""
 
