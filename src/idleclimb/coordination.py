@@ -14,7 +14,8 @@ through files in it:
     Always replaced atomically, never edited in place.
 ``lock``
     Short-lived writer lock: ``owner=``, ``acquired_at=``, ``stale_after=``.
-    Created exclusively; a lock older than :data:`STALE_AFTER` is broken.
+    Created exclusively; a lock older than :data:`STALE_AFTER`, or one
+    that does not parse, is broken.
     The lock's timings are protocol constants; ``stale_after=`` is written
     from the constant for earlier versions, which judge a lock by it.
 ``manifest.dat``
@@ -31,8 +32,9 @@ through files in it:
     :data:`TALLY_KEYS`, in order, with single spaces and non-negative
     decimal counts: a :class:`WorkerTally`, the one outcome-counts record
     that loop reports, simulator stats, exit lines and ``master report``
-    share.  Any other line, torn or malformed, is ignored.  Advisory:
-    nothing reads it to decide correctness.  Readers rely on the file only
+    share.  Any other line is ignored, and a half-written last line is
+    never read (see :class:`Backend`).  Advisory: nothing reads it to
+    decide correctness.  Readers rely on the file only
     growing: the :class:`TallyReader` objects on one backend object share
     one fold of its tally lines and read on from where it ends, so readers
     that refresh in turn read and parse each line once between them, not
@@ -55,7 +57,6 @@ covers the body's bytes exactly as written.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import functools
 import hashlib
@@ -118,7 +119,10 @@ class Backend(Protocol):
     """Primitive file operations inside one job directory.
 
     Implementations must make ``write_atomic`` all-or-nothing for readers
-    and ``create_exclusive`` fail when the name exists.
+    and ``create_exclusive`` fail when the name exists.  ``read_tail``
+    returns whole lines only: the text from ``offset`` through the last
+    newline and the offset just after it, or ``""`` and ``offset`` when the
+    file is missing or no newline follows.
     """
 
     def exists(self, name: str) -> bool: ...
@@ -224,10 +228,9 @@ class FsBackend:
             raw = self._read_raw(name, offset)
         except FileNotFoundError:
             return "", offset
-        # A character cut off at the end is left unread, for the next call.
-        decoder = codecs.getincrementaldecoder("utf-8")("replace")
-        data = decoder.decode(raw)
-        return data, offset + len(raw) - len(decoder.getstate()[0])
+        # A newline is one byte in UTF-8, so the cut never splits a character.
+        raw = raw[: raw.rfind(b"\n") + 1]
+        return raw.decode("utf-8", "replace"), offset + len(raw)
 
     def _place(self, name: str, data: str, place: Callable[[str, str], Any]) -> Any:
         """Write ``data`` to a fresh temp file and ``place(tmp, path)`` it at
@@ -262,9 +265,9 @@ class FsBackend:
     def remove(self, name: str) -> None:
         try:
             os.unlink(self._full(name))
-        except FileNotFoundError:
-            pass
         except OSError as exc:
+            if isinstance(exc, FileNotFoundError) and os.path.isdir(self.path):
+                return  # already gone
             raise self._check_dir(exc) from exc
 
     def describe(self) -> str:
@@ -293,9 +296,10 @@ class MemBackend:
     def read_tail(self, name: str, offset: int) -> tuple[str, int]:
         with self._mutex:
             data = self._files.get(name, "")
-            # As on disk: an offset past the end (or a missing file) reads
-            # nothing and keeps the offset.
-            return data[offset:], max(offset, len(data))
+            # As on disk: whole lines only, so no newline after ``offset``
+            # (or a missing file) reads nothing and keeps the offset.
+            end = data.rfind("\n", offset) + 1 or offset
+            return data[offset:end], end
 
     def write_atomic(self, name: str, data: str) -> None:
         with self._mutex:
@@ -624,7 +628,9 @@ def acquire_lock(job: JobDirectory, owner: str) -> LockHandle:
 
     A lock older than :data:`STALE_AFTER`, whatever ``stale_after=`` it
     declares, is assumed to belong to a dead process (a worker killed
-    mid-commit); it is deleted and re-acquired, and the break is logged.
+    mid-commit); so is one that does not parse, since only complete lock
+    files are created.  Either is deleted and re-acquired, and the break
+    is logged.
     """
     start = job.clock.now()
     while True:
@@ -635,22 +641,18 @@ def acquire_lock(job: JobDirectory, owner: str) -> LockHandle:
             existing = _parse_lock(job.backend.read_text(LOCK_FILE))
         except FileNotFoundError:
             continue  # released between our attempt and the read; retry now
-        if existing is not None and job.clock.now() - existing.acquired_at > STALE_AFTER:
-            log.warning(
-                "%s: breaking stale lock held by %s (age %.1fs > %.1fs)",
-                job.path,
-                existing.owner,
-                job.clock.now() - existing.acquired_at,
-                STALE_AFTER,
-            )
-            job.backend.remove(LOCK_FILE)
+        if existing is None:
+            log.warning("%s: breaking stale lock held by <unknown> (unreadable)", job.path)
+        elif job.clock.now() - existing.acquired_at > STALE_AFTER:
+            log.warning("%s: breaking stale lock held by %s (age %.1fs > %.1fs)", job.path,
+                        existing.owner, job.clock.now() - existing.acquired_at, STALE_AFTER)
+        else:
+            if job.clock.now() - start >= LOCK_DEADLINE:
+                raise LockContentionError(
+                    f"{job.path}: lock held by {existing.owner}, gave up after {LOCK_DEADLINE}s")
+            job.clock.sleep(LOCK_BACKOFF)
             continue
-        if job.clock.now() - start >= LOCK_DEADLINE:
-            holder = existing.owner if existing else "<unknown>"
-            raise LockContentionError(
-                f"{job.path}: lock held by {holder}, gave up after {LOCK_DEADLINE}s"
-            )
-        job.clock.sleep(LOCK_BACKOFF)
+        job.backend.remove(LOCK_FILE)
 
 
 def release_lock(job: JobDirectory, handle: LockHandle) -> None:
@@ -749,11 +751,11 @@ _Tallies = tuple[dict[str, tuple[str, ...]], dict[str, int], int]
 _NO_TALLIES: _Tallies = ({}, {}, 0)
 
 
-def _fold_lines(tallies: _Tallies, text: str, end: int) -> _Tallies:
-    """``tallies`` with the tally lines of ``text[:end]`` folded in, as new
-    dicts; ``end`` follows a newline.  Refolding a line already folded
-    changes nothing, since only each worker's last line counts."""
-    latest = {m[0]: m for m in _TALLY_LINE.findall(text, 0, end)}
+def _fold_lines(tallies: _Tallies, text: str) -> _Tallies:
+    """``tallies`` with the tally lines of ``text``, whole lines, folded in,
+    as new dicts.  Refolding a line already folded changes nothing, since
+    only each worker's last line counts."""
+    latest = {m[0]: m for m in _TALLY_LINE.findall(text)}
     if not latest:
         return tallies
     fields, evals, total = tallies
@@ -766,16 +768,15 @@ def _fold_lines(tallies: _Tallies, text: str, end: int) -> _Tallies:
 
 
 class _TallyFold:
-    """changes.log's tally lines folded up to offset ``end``, with the torn
-    text before it in ``pending``: what a reader that had read the log from
-    its start to ``end`` would hold.  Updated under ``lock``."""
+    """changes.log's tally lines folded up to offset ``end``, which starts a
+    line: what a reader that had read the log from its start to ``end``
+    would hold.  Updated under ``lock``."""
 
-    __slots__ = ("lock", "end", "pending", "tallies")
+    __slots__ = ("lock", "end", "tallies")
 
     def __init__(self):
         self.lock = threading.Lock()
         self.end = 0
-        self.pending = ""
         self.tallies = _NO_TALLIES
 
 
@@ -807,8 +808,7 @@ class TallyReader:
     end, folds that tail in if its read ends past the fold's end by then
     (another reader may have moved it; refolding a line changes nothing,
     since only each worker's last line counts), and takes the fold's
-    tallies as its snapshot.  An incomplete final line waits in the fold
-    for the next refresh.  So readers on one backend that refresh in turn
+    tallies as its snapshot.  So readers on one backend that refresh in turn
     read and parse each tally line once between them; readers whose
     refreshes overlap may read the same tail.  In a simulated fleet p
     readers share one backend.  The fold relies on changes.log only
@@ -833,15 +833,11 @@ class TallyReader:
 
     def refresh(self) -> None:
         fold = self._fold
-        with fold.lock:
-            start, pending = fold.end, fold.pending
-        tail, end = self._job.backend.read_tail(CHANGES_FILE, start)
+        tail, end = self._job.backend.read_tail(CHANGES_FILE, fold.end)
         with fold.lock:
             if end > fold.end:
-                text = pending + tail
-                cut = text.rfind("\n") + 1
-                fold.tallies = _fold_lines(fold.tallies, text, cut)
-                fold.end, fold.pending = end, text[cut:]
+                fold.tallies = _fold_lines(fold.tallies, tail)
+                fold.end = end
             self._tallies = fold.tallies
 
     @property
@@ -865,14 +861,11 @@ def read_fleet_tally(job: JobDirectory) -> dict[str, WorkerTally]:
 def read_commit_log(job: JobDirectory) -> list[tuple[int, int, int, float, str]]:
     """Parsed commit lines: (version, index, new_value, delta, proposer).
 
-    Lines end at newline characters only, and text after the last one is a
-    torn append that is not read, as :class:`TallyReader` does.  Tally
-    lines and lines of another field count are skipped; a five-field line
-    whose numbers do not parse raises :class:`FormatError`."""
-    try:
-        text = job.backend.read_text(CHANGES_FILE)
-    except FileNotFoundError:
-        return []
+    Read through :meth:`Backend.read_tail`, which never returns a torn
+    last line, and split at newline characters only.  Tally lines and
+    lines of another field count are skipped; a five-field line whose
+    numbers do not parse raises :class:`FormatError`."""
+    text, _ = job.backend.read_tail(CHANGES_FILE, 0)
     out = []
     for number, line in enumerate(text.split("\n")[:-1], 1):
         if not line or line.startswith("#"):

@@ -24,6 +24,7 @@ import os
 import random
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -332,7 +333,7 @@ def parse_worker_config(text: str) -> WorkerConfig:
     :class:`FormatError`."""
     values = parse_fields(text, "config", repeated=frozenset({"job"}))
     reject_unknown(values, {"job", "worker_id", *_CONFIG_KEYS}, "config")
-    worker_id = values.get("worker_id") or f"{os.uname().nodename}:{os.getpid()}"
+    worker_id = values.get("worker_id") or f"{socket.gethostname()}:{os.getpid()}"
     return WorkerConfig(
         jobs=tuple(values["job"]), worker_id=worker_id, **convert_fields(values, _CONFIG_KEYS)
     )

@@ -1,6 +1,5 @@
 """Shared-directory protocol: atomicity, CAS, locks, crash and race behavior."""
 
-import codecs
 import contextlib
 import errno
 import multiprocessing
@@ -404,6 +403,18 @@ class TestLock:
         assert handle.owner == "new" and job.clock.now() == start
         assert _parse_lock(job.backend.read_text(LOCK_FILE)) == handle
 
+    @pytest.mark.parametrize("text", ["", "owner=w1\nacquired_at=soon\n", "garbled"])
+    def test_an_unparsable_lock_is_broken_at_once(self, mem_job, caplog, text):
+        job = mem_job()
+        publish_initial(job, state(performance=1.0))
+        job.backend.write_atomic(LOCK_FILE, text)  # left by a crash or a hand edit
+        with caplog.at_level("WARNING"):
+            result = commit_update(job, state(version=1, performance=2.0), change=proposal())
+        assert isinstance(result, Committed) and read_best(job).version == 1
+        assert job.clock.now() < coordination.LOCK_DEADLINE
+        assert not job.backend.exists(LOCK_FILE)
+        assert any("breaking stale lock held by <unknown>" in r.message for r in caplog.records)
+
     def test_lock_file_keeps_its_format(self, mem_job):
         job = mem_job()
         acquire_lock(job, "a")
@@ -600,7 +611,8 @@ CODEC_READERS = {
 
 class _ChunkedLog(MemBackend):
     """A directory whose changes.log is visible only up to ``visible``
-    characters, so a reader sees the appended lines cut at any offset."""
+    characters, so a reader sees the appended lines cut at any offset.  Like
+    every backend, its tail reads return the whole lines of what is visible."""
 
     def __init__(self):
         super().__init__()
@@ -608,7 +620,8 @@ class _ChunkedLog(MemBackend):
 
     def read_tail(self, name, offset):
         data = self.read_text(name)[: self.visible]
-        return data[offset:], max(offset, len(data))
+        end = data.rfind("\n", offset) + 1 or offset
+        return data[offset:end], end
 
 
 class _TailCounting(MemBackend):
@@ -855,21 +868,20 @@ class TestTallyReader:
         expected = {f"w{i}": WorkerTally(evaluations=rounds) for i in range(workers)}
         assert results == [expected] * workers
 
-    def test_a_torn_final_line_waits_for_the_next_refresh(self):
-        backend = _ChunkedLog()
-        job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="t")
-        append_tally(job, "w1", WorkerTally(evaluations=4))
-        append_tally(job, "w2", WorkerTally(evaluations=7, commits=2))
-        total = len(backend.read_text(CHANGES_FILE))
-        reader = TallyReader(job)
-        backend.visible = total - 3
-        reader.refresh()
-        assert reader.per_worker == {"w1": WorkerTally(evaluations=4)}
-        reader.refresh()
-        assert "w2" not in reader.per_worker
-        backend.visible = total
-        reader.refresh()
-        assert reader.per_worker["w2"] == WorkerTally(evaluations=7, commits=2)
+    def test_a_torn_final_line_waits_for_the_next_refresh(self, mem_job, fs_job):
+        for job in (mem_job(), fs_job()):
+            append_tally(job, "w1", WorkerTally(evaluations=4))
+            append_tally(job, "w2", WorkerTally(evaluations=7, commits=2))
+            log = job.backend.read_text(CHANGES_FILE)
+            job.backend.write_atomic(CHANGES_FILE, log[:-3])  # w2's append, half written
+            reader = TallyReader(job)
+            reader.refresh()
+            assert reader.per_worker == {"w1": WorkerTally(evaluations=4)}
+            reader.refresh()
+            assert "w2" not in reader.per_worker
+            job.backend.write_atomic(CHANGES_FILE, log)
+            reader.refresh()
+            assert reader.per_worker["w2"] == WorkerTally(evaluations=7, commits=2)
 
     def test_a_tally_torn_inside_a_character_waits_for_the_rest(self, fs_job):
         job = fs_job()
@@ -1117,6 +1129,18 @@ class TestMemBackendSemantics:
         fs.append_line("log", "three")
         assert mem.read_tail("log", m_off) == fs.read_tail("log", f_off)
 
+    @pytest.mark.parametrize("kind", ["mem", "fs"])
+    def test_tail_reads_return_whole_lines_only(self, tmp_path, kind):
+        backend = MemBackend() if kind == "mem" else FsBackend(str(tmp_path))
+        backend.write_atomic("log", "one\ntw")  # the append of "two" half written
+        assert backend.read_tail("log", 0) == ("one\n", 4)
+        assert backend.read_tail("log", 4) == ("", 4)
+        backend.write_atomic("log", "one\ntwo\nthr")  # the rest of "two" lands
+        assert backend.read_tail("log", 4) == ("two\n", 8)
+        for offset in (8, 10, 11, 20):  # no newline after the offset
+            assert backend.read_tail("log", offset) == ("", offset)
+        assert backend.read_tail("missing", 3) == ("", 3)
+
     @pytest.mark.parametrize("raw", [b"a=1\r\nb=2\r\n", b"bad \xff byte\n", "cut é".encode()[:-1]])
     def test_fs_read_text_matches_a_text_mode_read(self, tmp_path, raw):
         (tmp_path / "f").write_bytes(raw)
@@ -1132,6 +1156,26 @@ class TestMemBackendSemantics:
         for path in (tmp_path / "gone", tmp_path / "plain"):
             with pytest.raises(ShareUnreachableError):
                 FsBackend(str(path)).exists("present")
+
+    def test_fs_remove_tells_missing_from_unreachable(self, fs_job):
+        job = fs_job()
+        signal_set(job)
+        signal_clear(job)
+        signal_clear(job)  # a missing file in a present directory: already removed
+        signal_set(job)
+        moved = job.path + ".away"
+        os.rename(job.path, moved)
+        with pytest.raises(ShareUnreachableError, match="unreachable"):
+            signal_clear(job)
+        os.rename(moved, job.path)
+        assert signal_exists(job)
+
+    def test_fs_append_to_a_vanished_directory_is_unreachable(self, fs_job):
+        job = fs_job()
+        os.rmdir(job.path)
+        unreachable = f"job directory unreachable: {re.escape(job.path)}$"
+        with pytest.raises(ShareUnreachableError, match=unreachable):
+            append_tally(job, "w1", WorkerTally(evaluations=1))
 
     @pytest.mark.parametrize("operation", ["write_atomic", "create_exclusive"])
     def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, operation):
@@ -1162,16 +1206,16 @@ def _buffered_read_text(path):
 
 
 def _buffered_read_tail(path, offset):
-    """FsBackend.read_tail as a buffered ``open(..., "rb")`` read did it."""
+    """FsBackend.read_tail as a buffered ``open(..., "rb")`` read does it:
+    the bytes from ``offset`` through the last newline."""
     try:
         with open(path, "rb") as fh:
             fh.seek(offset)
             raw = fh.read()
     except FileNotFoundError:
         return "", offset
-    decoder = codecs.getincrementaldecoder("utf-8")("replace")
-    data = decoder.decode(raw)
-    return data, offset + len(raw) - len(decoder.getstate()[0])
+    raw = raw[: raw.rfind(b"\n") + 1]
+    return raw.decode("utf-8", "replace"), offset + len(raw)
 
 
 class Ascending:

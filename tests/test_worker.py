@@ -1,7 +1,9 @@
 """Scheduler contract: idle gating, daily window, kills, single instance."""
 
 import math
+import os
 import random
+import socket
 import subprocess
 import time
 
@@ -374,6 +376,12 @@ class TestConfigParsing:
         for text in ("24:00", "9:5", "+9:05", "09:05:00"):
             with pytest.raises(ValueError, match="HH:MM"):
                 parse_time_of_day(text)
+
+    def test_the_default_worker_id_needs_no_os_uname(self, monkeypatch):
+        # As on Windows.  Deleted only here, since importing numpy calls it.
+        monkeypatch.delattr(os, "uname", raising=False)
+        config = parse_worker_config("job=/tmp/a\n")
+        assert config.worker_id == f"{socket.gethostname()}:{os.getpid()}"
 
     def test_missing_jobs_rejected(self):
         with pytest.raises(ValueError):
