@@ -35,10 +35,12 @@ through files in it:
     share.  Any other line is ignored, and a half-written last line is
     never read (see :class:`Backend`).  Advisory: nothing reads it to
     decide correctness.  Readers rely on the file only
-    growing: the :class:`TallyReader` objects on one backend object share
-    one fold of its tally lines and read on from where it ends, so readers
-    that refresh in turn read and parse each line once between them, not
-    once each.  A forced :func:`publish_initial` starts the file afresh.
+    growing: the :class:`TallyReader` objects made from one
+    :class:`JobDirectory` handle share its fold of the tally lines and read
+    on from where it ends, so readers that refresh in turn read and parse
+    each line once between them, not once each.  A forced
+    :func:`publish_initial` starts the file afresh and resets the fold of
+    the handle it is given.
 
 Ordinary file shares offer no compare-and-swap, so updates go through the
 lock plus a write-to-temp-then-atomic-rename discipline, and every record
@@ -66,8 +68,7 @@ import math
 import os
 import re
 import threading
-import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Collection, Iterable, Mapping, NamedTuple, Protocol, Union
 
 from .clock import Clock, WallClock
@@ -381,17 +382,34 @@ class LockHandle:
     acquired_at: float
 
 
+class _TallyFold:
+    """changes.log's tally lines folded up to offset ``end``, which starts a
+    line: what a reader that had read the log from its start to ``end``
+    would hold.  Updated under ``lock``."""
+
+    __slots__ = ("lock", "end", "tallies")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.end = 0
+        self.tallies = _NO_TALLIES
+
+
 @dataclass(frozen=True)
 class JobDirectory:
-    """Immutable handle on one job's directory.
+    """Handle on one job's directory, freely shareable across threads.
 
-    Freely shareable across threads; all mutability lives in the files
-    behind the backend.
+    The job's state lives in the files behind the backend.  The one piece of
+    state a handle holds is its :class:`_TallyFold`, shared by every
+    :class:`TallyReader` made from it.  The fold is no constructor argument
+    and no part of equality; :func:`dataclasses.replace` makes a new one.
     """
 
     backend: Backend
     clock: Clock
     job_id: str
+    _tally_fold: _TallyFold = field(default_factory=_TallyFold, init=False, compare=False,
+                                    repr=False)
 
     @property
     def path(self) -> str:
@@ -585,14 +603,15 @@ def read_best(job: JobDirectory) -> BestState:
 
 def publish_initial(job: JobDirectory, state: BestState, force: bool = False) -> None:
     """Write the version-0 record.  Fails if one exists, unless forced; a
-    forced one also starts changes.log afresh, so the old job's commits and
-    tallies do not count towards the new one's."""
+    forced one also starts changes.log afresh and resets ``job``'s tally
+    fold, so the old job's commits and tallies do not count for the new one."""
     data = serialize_best(state)
     if force:
         job.backend.write_atomic(BEST_FILE, data)
         job.backend.write_atomic(CHANGES_FILE, "")
-        with _FOLDS_LOCK, contextlib.suppress(TypeError):  # unhashable: nothing shared
-            _FOLDS.pop(job.backend, None)
+        fold = job._tally_fold
+        with fold.lock:
+            fold.end, fold.tallies = 0, _NO_TALLIES
         return
     if not job.backend.create_exclusive(BEST_FILE, data):
         raise AlreadyInitializedError(
@@ -767,57 +786,27 @@ def _fold_lines(tallies: _Tallies, text: str) -> _Tallies:
     return {**fields, **latest}, evals, total
 
 
-class _TallyFold:
-    """changes.log's tally lines folded up to offset ``end``, which starts a
-    line: what a reader that had read the log from its start to ``end``
-    would hold.  Updated under ``lock``."""
-
-    __slots__ = ("lock", "end", "tallies")
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.end = 0
-        self.tallies = _NO_TALLIES
-
-
-# One fold per backend object, shared by every reader on it; it goes with
-# the backend, or when publish_initial replaces the log.
-_FOLDS: "weakref.WeakKeyDictionary[Backend, _TallyFold]" = weakref.WeakKeyDictionary()
-_FOLDS_LOCK = threading.Lock()
-
-
-def _shared_fold(backend: Backend) -> _TallyFold:
-    with _FOLDS_LOCK:
-        try:
-            fold = _FOLDS.get(backend)
-            if fold is None:
-                fold = _FOLDS[backend] = _TallyFold()
-        except TypeError:  # a backend that cannot be weakly referenced: no sharing
-            fold = _TallyFold()
-    return fold
-
-
 class TallyReader:
     """Incrementally folds changes.log tally lines into per-worker totals.
 
     Tally counters are cumulative per worker, so only each worker's latest
     line matters; reading just the file tail keeps the per-check cost flat.
 
-    Every reader on the same backend object shares one fold of the log and
-    keeps no offset of its own.  A refresh reads the log from the fold's
+    The readers made from one :class:`JobDirectory` share its fold of the
+    log and keep no offset of their own; another handle, even on the same
+    backend object, folds alone.  A refresh reads the log from the fold's
     end, folds that tail in if its read ends past the fold's end by then
     (another reader may have moved it; refolding a line changes nothing,
     since only each worker's last line counts), and takes the fold's
-    tallies as its snapshot.  So readers on one backend that refresh in turn
+    tallies as its snapshot.  So readers of one handle that refresh in turn
     read and parse each tally line once between them; readers whose
-    refreshes overlap may read the same tail.  In a simulated fleet p
-    readers share one backend.  The fold relies on changes.log only
-    growing.  The one writer that replaces it, :func:`publish_initial` when
-    forced, drops the backend's fold, so a reader made after that on the
-    same backend object reads the new log.  Older readers, and readers on
-    other backend objects, keep their folds: a process that holds a job
-    handle across a forced init opens the job again, as the daemon does at
-    each tick.
+    refreshes overlap may read the same tail.  A simulated fleet's p
+    readers share one handle.  The fold relies on changes.log only growing.
+    The one writer that replaces it, :func:`publish_initial` when forced,
+    resets the fold of the handle it is given, so all of that handle's
+    readers read the new log at their next refresh.  Other handles keep
+    their folds: a process that holds a job handle across a forced init
+    opens the job again, as the daemon does at each tick.
 
     A fold keeps each worker's latest matched fields as text and a running
     sum of their ``evals``: it converts only the ``evals`` of the workers
@@ -828,7 +817,7 @@ class TallyReader:
 
     def __init__(self, job: JobDirectory):
         self._job = job
-        self._fold = _shared_fold(job.backend)
+        self._fold = job._tally_fold
         self._tallies = _NO_TALLIES
 
     def refresh(self) -> None:

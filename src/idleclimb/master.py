@@ -35,14 +35,16 @@ def _print(key: str, value) -> None:
 def cmd_init(args) -> int:
     # The objective and stop options are manifest keys, read as a manifest's.
     params = {"objective": "phase_mask", **vars(args)}
+    job_id = args.job_id or os.path.basename(os.path.abspath(args.dir))
     try:
         objective = objmod.from_manifest(params)
         stop = optimizer.StopCondition.from_manifest(params)
         config = objmod.initial_config(objective, args.init_config, args.seed)
+        if job_id != job_id.strip() or len(job_id.splitlines()) != 1:  # as the manifest reads it
+            raise ValueError(f"job_id={job_id!r}: must be one non-empty line, not space-padded")
     except ValueError as exc:
         print(f"error={exc}", file=sys.stderr)
         return EXIT_USAGE
-    job_id = args.job_id or os.path.basename(os.path.abspath(args.dir))
     job = coord.JobDirectory.create(args.dir, job_id)
     if args.force and coord.signal_exists(job):
         print("error=job still running (stop it before re-initializing)", file=sys.stderr)

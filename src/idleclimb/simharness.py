@@ -24,8 +24,9 @@ function of (fleet, job setup, sim config, seed) and reports compare
 bit-for-bit across runs and across directory backends.
 
 A run has one :class:`TimedBackend`, which charges every directory
-operation to the task holding the baton.  The simulated workers' tally
-readers therefore share one fold of changes.log
+operation to the task holding the baton, and one job handle on it for the
+whole fleet.  The simulated workers' tally readers therefore share the
+handle's fold of changes.log
 (:class:`~idleclimb.coordination.TallyReader`) and read the log on from
 where the fold ends, rather than each from its own offset.  At p = 50 that
 made the simulator about 1.4 times faster, with the same reports
@@ -158,8 +159,8 @@ class VirtualKernel:
     event (:meth:`_dispatch`); the main thread only starts the run, waits
     for its end and unwinds.  ``reached`` is the latest time any task has
     reached, and ``current`` the task last granted the baton: the one
-    running, whom a shared :class:`TimedBackend` charges.
-    Exactly one thread runs at any instant, which is what makes runs
+    running, for whom a shared :class:`TimedBackend` and :class:`SimClock`
+    act.  Exactly one thread runs at any instant, which is what makes runs
     deterministic.  Each task thread switches itself to ``SCHED_BATCH``
     where that is granted, so that the thread a baton wakes waits for the
     waker to block instead of preempting it while it holds the GIL; a
@@ -211,16 +212,16 @@ class VirtualKernel:
         self._seq += 1
         heapq.heappush(self._heap, (at, name, self._seq))
 
-    def sleep(self, name: str, duration: float) -> None:
-        """Let task ``name`` sleep without parking: its time runs ahead of
-        the queued events until its next :meth:`advance` puts it back in
+    def sleep(self, duration: float) -> None:
+        """Let the running task sleep without parking: its time runs ahead
+        of the queued events until its next :meth:`advance` puts it back in
         order.  A wake-up past the horizon, or during the unwind, parks (or
         raises :class:`SimHorizon`) as :meth:`advance` does."""
         at = self.now + (duration if duration > 0.0 else 0.0)
         if at <= self.horizon and not self._stopping:
             self.now = at
         else:
-            self.advance(name, duration, "sleep")
+            self.advance(self.current.name, duration, "sleep")
 
     def advance(self, name: str, duration: float, kind: str) -> None:
         """Consume virtual time on behalf of task ``name``, parking it first
@@ -352,20 +353,19 @@ class VirtualKernel:
 
 
 class SimClock:
-    """Per-task clock face over the shared kernel."""
+    """A run's clock face over the kernel, acting for the running task."""
 
-    def __init__(self, kernel: VirtualKernel, name: str):
+    def __init__(self, kernel: VirtualKernel):
         self._kernel = kernel
-        self._name = name
 
     def now(self) -> float:
         return self._kernel.now
 
     def sleep(self, duration: float) -> None:
-        self._kernel.sleep(self._name, duration)
+        self._kernel.sleep(duration)
 
     def allow_read_ahead(self, follow: float | None) -> None:
-        """Let this task's signal reads be read ahead
+        """Let the running task's signal reads be read ahead
         (:meth:`VirtualKernel.read_ahead`), each followed by a slice of
         ``follow`` seconds, or stop that (None)."""
         self._kernel.current.follow = follow
@@ -379,9 +379,9 @@ class TimedBackend:
     to the task holding the baton, and notes when the signal file is first
     removed.  Until then it answers a signal read ahead where the task's
     evaluation allows it, and passes the reads that stand to the store when
-    the task validates them.  One serves a whole run, so every simulated
-    worker's :class:`~idleclimb.coordination.TallyReader` shares one tally
-    fold."""
+    the task validates them.  One serves a whole run, under the one
+    :class:`~idleclimb.coordination.JobDirectory` handle of the fleet and
+    the operator."""
 
     def __init__(self, inner: Backend, kernel: VirtualKernel, t_io: float, events: _Events):
         self._inner = inner
@@ -672,12 +672,14 @@ def run_sim(
     events = _Events()
     store = backend if backend is not None else MemBackend("sim")
     timed = TimedBackend(store, kernel, sim.t_io, events)
+    # One handle for every task, so the fleet's tally readers share its fold.
+    job = JobDirectory(backend=timed, clock=SimClock(kernel), job_id=setup.job_id)
 
     # Initialization happens before the fleet exists, off the virtual clock.
-    setup_job = JobDirectory(backend=store, clock=SimClock(kernel, "<setup>"), job_id=setup.job_id)
+    store_job = JobDirectory(backend=store, clock=job.clock, job_id=setup.job_id)
     config = initial_config(setup.objective, setup.init_config, setup.init_seed)
-    initialize(setup_job, config, setup.objective)
-    signal_set(setup_job)
+    initialize(store_job, config, setup.objective)
+    signal_set(store_job)
 
     records: list[ProposalRecord] = []
     stats: dict[str, dict] = {
@@ -686,28 +688,26 @@ def run_sim(
 
     for w in fleet:
         kill_times = [at for wid, at in kill_schedule if wid == w.id]
-        kernel.spawn(w.id, _worker_body(w, kernel, timed, setup, sim, records, events,
+        kernel.spawn(w.id, _worker_body(w, kernel, job, setup, sim, records, events,
                                         kill_times, stats))
     if clear_signal_at is not None:
-        kernel.spawn("<operator>", _operator_body(kernel, timed, setup, clear_signal_at, events))
+        kernel.spawn("<operator>", _operator_body(kernel, job, clear_signal_at, events))
 
     kernel.run()
 
-    return _build_report(fleet, setup, sim, kernel, store, records, events, stats)
+    return _build_report(fleet, setup, sim, kernel, store_job, records, events, stats)
 
 
-def _worker_body(w, kernel, timed, setup, sim, records, events, kill_times, stats):
+def _worker_body(w, kernel, job, setup, sim, records, events, kill_times, stats):
     def body():
-        clock = SimClock(kernel, w.id)
-        job = JobDirectory(backend=timed, clock=clock, job_id=setup.job_id)
         duration = sim.t_eval * setup.objective.cost_hint / w.speed_factor
-        objective = ClockedObjective(setup.objective, clock, duration)
+        objective = ClockedObjective(setup.objective, job.clock, duration)
         rng = random.Random(f"{sim.seed}:{w.id}")
         my = stats[w.id]
 
         for win_start, win_end in w.availability:
             if kernel.now < win_start:
-                clock.sleep(win_start - kernel.now)
+                job.clock.sleep(win_start - kernel.now)
             while kernel.now < win_end:
                 # The window's end or the first kill after the loop starts,
                 # whichever comes first, cancels the loop.  Checked at every
@@ -719,7 +719,7 @@ def _worker_body(w, kernel, timed, setup, sim, records, events, kill_times, stat
                         return False
                     # A removal before now that voids a read-ahead turns
                     # this cancel into the signal's abort at that read.
-                    timed.settle()
+                    job.backend.settle()
                     return True
 
                 report = work_loop(
@@ -739,24 +739,22 @@ def _worker_body(w, kernel, timed, setup, sim, records, events, kill_times, stat
                 my["kills"] += 1
                 if kernel.now >= win_end:
                     break
-                clock.sleep(w.poll_interval)
+                job.clock.sleep(w.poll_interval)
         my["quiesce"] = kernel.now
 
     return body
 
 
-def _operator_body(kernel, timed, setup, clear_at, events):
+def _operator_body(kernel, job, clear_at, events):
     def body():
-        clock = SimClock(kernel, "<operator>")
-        job = JobDirectory(backend=timed, clock=clock, job_id=setup.job_id)
-        clock.sleep(clear_at)
+        job.clock.sleep(clear_at)
         signal_clear(job)
         events.note_stop(kernel.now)
 
     return body
 
 
-def _build_report(fleet, setup, sim, kernel, store, records, events, stats) -> SpeedupReport:
+def _build_report(fleet, setup, sim, kernel, store_job, records, events, stats) -> SpeedupReport:
     # A task appends its records as it runs, and sleeps run ahead of other
     # tasks' events, so the list is in event order only after this sort.
     records.sort(key=lambda rec: (rec.time, rec.worker))
@@ -796,8 +794,7 @@ def _build_report(fleet, setup, sim, kernel, store, records, events, stats) -> S
             f"the fleet's combined rate"
         )
 
-    final = read_best(JobDirectory(backend=store, clock=SimClock(kernel, "<final>"),
-                                   job_id=setup.job_id))
+    final = read_best(store_job)
     worker_stats = tuple(
         WorkerStats(wid, s["counts"].evaluations, s["counts"].commits, s["kills"], s["quiesce"])
         for wid, s in sorted(stats.items())

@@ -43,11 +43,13 @@ class CrashInjectionBackend:
 
 
 class CountingBackend:
-    """Backend wrapper that counts primitive operations by name."""
+    """Backend wrapper that counts primitive operations by name, and the
+    characters its tail reads return."""
 
     def __init__(self, inner):
         self._inner = inner
         self.ops = Counter()
+        self.tail_chars = 0
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)
@@ -56,7 +58,10 @@ class CountingBackend:
 
         def wrapped(*args, **kwargs):
             self.ops[name] += 1
-            return attr(*args, **kwargs)
+            result = attr(*args, **kwargs)
+            if name == "read_tail":
+                self.tail_chars += len(result[0])
+            return result
 
         return wrapped
 

@@ -11,6 +11,7 @@ import tempfile
 import threading
 import time
 import types
+from dataclasses import replace
 
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -234,7 +235,9 @@ class TestBestRecord:
         (lambda body: body.replace("version=0", "version=zero"),
          "best.dat: version='zero': invalid literal"),
         (lambda body: body.replace("n=4", "n=5"), "expected 5 values, got 4"),
-    ], ids=["missing_key", "non_numeric", "n_mismatch"])
+        (lambda body: body.replace("version=0", "version=-1"),
+         "best.dat: version must be non-negative"),
+    ], ids=["missing_key", "non_numeric", "n_mismatch", "negative_version"])
     def test_a_record_with_a_valid_checksum_is_still_checked(self, edit, message):
         body = edit(serialize_best(state()).rsplit("checksum=", 1)[0])
         with pytest.raises(FormatError, match=message):
@@ -637,6 +640,12 @@ class _TailCounting(MemBackend):
         return tail, end
 
 
+class _UnhashableTailCounting(_TailCounting):
+    """A tail-counting directory that cannot be hashed."""
+
+    __hash__ = None
+
+
 class _Overtaken(MemBackend):
     """A directory that runs ``overtake`` once, after the next tail read
     and before the reader gets its result."""
@@ -810,17 +819,39 @@ class TestTallyReader:
         assert second.per_worker == expected
         assert second.evaluations_excluding("w2") == 11
 
-    def test_readers_on_an_unhashable_backend_fold_alone(self):
-        class ByValue(MemBackend):
-            __hash__ = None  # cannot key the shared folds
-
-        job = JobDirectory(backend=ByValue(), clock=VirtualClock(), job_id="t")
+    @pytest.mark.parametrize("hashable", [True, False], ids=["hashable", "unhashable"])
+    def test_readers_share_their_handles_fold_and_a_second_handle_folds_alone(self, hashable):
+        backend = _TailCounting() if hashable else _UnhashableTailCounting()
+        job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="t")
         append_tally(job, "w1", WorkerTally(evaluations=2))
+        size = len(backend.read_text(CHANGES_FILE))
         a, b = TallyReader(job), TallyReader(job)
         a.refresh()
         b.refresh()
-        assert a._fold is not b._fold
-        assert a.per_worker == b.per_worker == {"w1": WorkerTally(evaluations=2)}
+        assert a._fold is b._fold
+        assert backend.tail_chars == size
+        # Equal to the first handle, on the same backend object, and alone.
+        second = replace(job)
+        assert second == job
+        c = TallyReader(second)
+        c.refresh()
+        assert c._fold is not a._fold
+        assert backend.tail_chars == 2 * size
+        assert a.per_worker == b.per_worker == c.per_worker == {"w1": WorkerTally(evaluations=2)}
+
+    def test_a_reader_made_before_a_forced_init_reads_the_new_log(self, mem_job):
+        job = mem_job()
+        publish_initial(job, state(performance=1.0))
+        for i in range(3):
+            append_tally(job, f"w{i}", WorkerTally(evaluations=101))
+        reader = TallyReader(job)
+        reader.refresh()
+        assert reader.evaluations_excluding("w9") == 303
+        publish_initial(job, state(performance=0.5), force=True)
+        append_tally(job, "w9", WorkerTally(evaluations=2))
+        reader.refresh()
+        assert reader.per_worker == {"w9": WorkerTally(evaluations=2)}
+        assert reader.evaluations_excluding("w9") == 0
 
     def test_readers_on_threads_sharing_one_backend_agree(self, fs_job):
         job = fs_job()

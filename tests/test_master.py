@@ -126,6 +126,12 @@ class TestInit:
         (["--stop-target", "nan"], "target_performance"),
         (["--stop-max-evals", "-5"], "max_total_evaluations"),
         (["--stop-stagnation", "-1"], "stagnation_proposals"),
+        # Each of these job ids was written to the manifest, which then
+        # failed to read back at every start and every worker tick.
+        (["--job-id", " "], "job_id=' '"),
+        (["--job-id", " job"], "job_id=' job'"),
+        (["--job-id", "a\nb"], "job_id='a\\nb'"),
+        (["--job-id", "a\u2028b"], "job_id='a\\u2028b'"),
     ])
     def test_a_malformed_option_is_named_and_nothing_is_written(self, tmp_path, capsys,
                                                                  option, named):
@@ -133,6 +139,18 @@ class TestInit:
         assert code == 2 and not values
         assert err.startswith("error=") and len(err.splitlines()) == 1 and named in err
         assert not (tmp_path / "job").exists()
+
+    def test_a_default_job_id_that_would_not_read_back_exits_2(self, tmp_path, capsys):
+        # The default id is the directory's name.
+        code, values, err = run(capsys, "init", str(tmp_path / "job "))
+        assert code == 2 and not values and "job_id='job '" in err
+        assert not (tmp_path / "job ").exists()
+
+    def test_a_job_id_with_inner_spaces_reads_back(self, tmp_path, capsys):
+        jobdir = str(tmp_path / "job")
+        assert run(capsys, "init", jobdir, "--job-id", "my job")[1]["job_id"] == "my job"
+        assert run(capsys, "start", jobdir)[0] == 0
+        assert run(capsys, "status", jobdir)[1]["job_id"] == "my job"
 
     def test_the_manifest_holds_what_init_was_given(self, tmp_path, capsys):
         jobdir = tmp_path / "job"

@@ -354,6 +354,20 @@ class TestIdleProbeCalls:
         probe.idle_duration(origin + 1.0)
         assert len(spawns) == 2
 
+    def test_an_xprintidle_reading_that_is_not_a_number_falls_back(self, monkeypatch, caplog):
+        from idleclimb import worker
+
+        def run(argv, **kwargs):
+            return subprocess.CompletedProcess(argv, 0, stdout="idle\n", stderr="")
+
+        monkeypatch.setattr(worker.subprocess, "run", run)
+        probe = worker.SystemIdleProbe()
+        origin = probe._origin
+        with caplog.at_level("WARNING"):
+            idle = [probe.idle_duration(origin + k) for k in range(3)]
+        assert idle == [0.0, 1.0, 2.0]
+        assert caplog.text.count("no system idle source") == 1
+
 
 class TestConfigParsing:
     def test_round_trip_with_defaults(self):
@@ -435,6 +449,10 @@ class TestConfigParsing:
     def test_a_nan_trace_time_is_rejected(self, kwargs):
         with pytest.raises(ValueError, match="NaN"):
             TraceProbe(**kwargs)
+
+    def test_decreasing_activity_times_are_rejected(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            TraceProbe(activity_times=(2.0, 1.0))
 
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
