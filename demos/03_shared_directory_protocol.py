@@ -29,22 +29,22 @@ print(f"v{base.version}: config {base.config}  performance {base.performance:.6f
 a_change, b_change = (4, 1), (7, 1)
 
 a = evaluate_and_merge(job, base, a_change, obj, OptimizerMode.CHANGE_MERGE, proposer="deskA")
-print(f"deskA commits element 4: {a.kind.value}, recorded v{a.new_version} "
-      f"at {a.state.performance:.6f}")
+print(f"deskA commits element 4: {a.outcome.value}, recorded v{a.committed_version} "
+      f"at {a.recorded_performance:.6f}")
 
 # deskB still holds version 0.  Its second read notices deskA's commit and,
 # since the changes touch different elements, re-applies its own change on
 # top and estimates the combined performance additively.
 b = evaluate_and_merge(job, base, b_change, obj, OptimizerMode.CHANGE_MERGE, proposer="deskB")
 merged = read_best(job)
-print(f"deskB merges element 7: {b.kind.value}, recorded v{merged.version} "
+print(f"deskB merges element 7: {b.outcome.value}, recorded v{merged.version} "
       f"at {merged.performance:.6f} (estimated={merged.estimated})")
 print(f"exact value of the merged mask: {obj.evaluate(merged.config):.6f}\n")
 
 # A third worker tries to replay a change to an element that moved under it.
 c = evaluate_and_merge(job, base, (4, 1), obj, OptimizerMode.CHANGE_MERGE, proposer="deskC")
-assert c.kind is Outcome.REJECTED_CONFLICT
-print(f"deskC re-proposes element 4 from the stale base: {c.kind.value} (no write)\n")
+assert c.outcome is Outcome.REJECTED_CONFLICT
+print(f"deskC re-proposes element 4 from the stale base: {c.outcome.value} (no write)\n")
 
 print("audit trail (changes.log):")
 for version, index, value, delta, proposer in read_commit_log(job):

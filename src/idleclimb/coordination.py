@@ -385,14 +385,16 @@ class LockHandle:
 class _TallyFold:
     """changes.log's tally lines folded up to offset ``end``, which starts a
     line: what a reader that had read the log from its start to ``end``
-    would hold.  Updated under ``lock``."""
+    would hold.  ``resets`` counts the forced inits that started the log
+    afresh.  Updated under ``lock``."""
 
-    __slots__ = ("lock", "end", "tallies")
+    __slots__ = ("lock", "end", "tallies", "resets")
 
     def __init__(self):
         self.lock = threading.Lock()
         self.end = 0
         self.tallies = _NO_TALLIES
+        self.resets = 0
 
 
 @dataclass(frozen=True)
@@ -612,6 +614,7 @@ def publish_initial(job: JobDirectory, state: BestState, force: bool = False) ->
         fold = job._tally_fold
         with fold.lock:
             fold.end, fold.tallies = 0, _NO_TALLIES
+            fold.resets += 1
         return
     if not job.backend.create_exclusive(BEST_FILE, data):
         raise AlreadyInitializedError(
@@ -804,7 +807,8 @@ class TallyReader:
     readers share one handle.  The fold relies on changes.log only growing.
     The one writer that replaces it, :func:`publish_initial` when forced,
     resets the fold of the handle it is given, so all of that handle's
-    readers read the new log at their next refresh.  Other handles keep
+    readers read the new log at their next refresh; a refresh whose read
+    overlapped the reset folds nothing in.  Other handles keep
     their folds: a process that holds a job handle across a forced init
     opens the job again, as the daemon does at each tick.
 
@@ -822,9 +826,12 @@ class TallyReader:
 
     def refresh(self) -> None:
         fold = self._fold
-        tail, end = self._job.backend.read_tail(CHANGES_FILE, fold.end)
         with fold.lock:
-            if end > fold.end:
+            start, resets = fold.end, fold.resets
+        tail, end = self._job.backend.read_tail(CHANGES_FILE, start)
+        with fold.lock:
+            # A reset during the read means the tail came from the old log.
+            if end > fold.end and resets == fold.resets:
                 fold.tallies = _fold_lines(fold.tallies, tail)
                 fold.end = end
             self._tallies = fold.tallies

@@ -97,17 +97,19 @@ def cmd_report(args) -> int:
         print("error=job still running (stop it before reporting)", file=sys.stderr)
         return EXIT_STATE
     objective = objmod.from_manifest(coord.read_manifest(job))
-    audit = optimizer.audit_estimate(job, objective)
+    state = coord.read_best(job)
+    # The recorded performance may be an additive estimate; a fresh
+    # evaluation of the stored configuration shows how far it drifted.
+    exact = objective.evaluate(state.config)
     fleet = coord.WorkerTally.total(coord.read_fleet_tally(job).values())
     commits = len(coord.read_commit_log(job))
-    state = audit.recorded
     _print("job_id", job.job_id)
     _print("version", state.version)
     _print("config", " ".join(str(v) for v in state.config))
     _print("recorded_performance", f"{state.performance:.17g}")
-    _print("exact_performance", f"{audit.exact_performance:.17g}")
+    _print("exact_performance", f"{exact:.17g}")
     _print("estimated", int(state.estimated))
-    _print("estimate_drift", f"{audit.drift:.17g}")
+    _print("estimate_drift", f"{abs(state.performance - exact):.17g}")
     _print("commits", commits)
     _print("evaluations", fleet.evaluations)
     _print("rejected_not_better", fleet.rejects_not_better)

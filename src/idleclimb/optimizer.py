@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .coordination import (
     BestState,
@@ -80,17 +80,6 @@ class Outcome(Enum):
 
 for _slot, _kind in enumerate(Outcome, 1):  # tally-line order, after the evaluations
     _kind.slot = _slot  # its count's index in a WorkerTally; reading it hashes nothing
-
-
-@dataclass(frozen=True)
-class MergeOutcome:
-    kind: Outcome
-    measured: float
-    state: BestState | None = None  # the committed record, when kind is COMMITTED
-
-    @property
-    def new_version(self) -> int | None:
-        return self.state.version if self.state is not None else None
 
 
 # The manifest keys of a StopCondition: key -> (field, conversion).
@@ -152,9 +141,16 @@ class StopCondition:
 
 
 
-@dataclass(frozen=True)
-class ProposalRecord:
-    """One completed proposal, as seen by a run-log observer."""
+class ProposalRecord(NamedTuple):
+    """One completed proposal: what :func:`evaluate_and_merge` returns and
+    a run-log observer receives.
+
+    ``worker`` proposed the change ``index`` -> ``new_value`` against the
+    record of version ``base_version`` and measured ``measured``; ``time``
+    is the job's clock when the merge returned.  ``committed_version`` and
+    ``recorded_performance`` describe the record that ``outcome``
+    COMMITTED wrote, and are None for every other outcome.
+    """
 
     worker: str
     time: float
@@ -245,9 +241,10 @@ def evaluate_and_merge(
     *,
     proposer: str = "worker",
     cancel: CancelCheck | None = None,
-) -> MergeOutcome:
+) -> ProposalRecord:
     """Evaluate one change against the base the caller read, then merge it
-    against the freshly re-read global best.
+    against the freshly re-read global best, and return the proposal's
+    record.
 
     Raises :class:`EvaluationAborted` when a checkpoint (signal gone, or the
     caller's cancel check) interrupts the evaluation; nothing is written.
@@ -268,65 +265,55 @@ def evaluate_and_merge(
     measured = objective.evaluate(candidate, checkpoint)
     if cancelled():
         raise EvaluationAborted("cancelled after evaluation")
+    committed_version = recorded_performance = None  # set only by a commit
     if measured <= base.performance:
-        return MergeOutcome(Outcome.REJECTED_NOT_BETTER, measured)
+        outcome = Outcome.REJECTED_NOT_BETTER
     # The evaluation may be long; re-check before touching the shared state
     # so a stop between evaluate and merge discards the result.
-    if not check_stop_during_evaluation(job):
+    elif not check_stop_during_evaluation(job):
         raise EvaluationAborted("stop requested after evaluation")
-
-    delta = measured - base.performance
-    proposal = ChangeProposal(index=index, new_value=new_value, delta=delta, proposer=proposer)
-
-    latest = _io_retry(job, read_best, job)
-    for _ in range(MERGE_MAX_RETRIES + 1):
-        if latest.version == base.version:
-            config, performance, estimated = candidate, measured, False
-        elif latest.config[index] != base.config[index]:
-            # Someone changed the very element we modified; our measurement
-            # no longer describes any reachable configuration.
-            return MergeOutcome(Outcome.REJECTED_CONFLICT, measured)
-        elif mode is OptimizerMode.CHANGE_MERGE:
-            config = latest.config[:index] + (new_value,) + latest.config[index + 1 :]
-            performance, estimated = latest.performance + delta, True
-        elif measured <= latest.performance:  # REPLACE_IF_BETTER
-            return MergeOutcome(Outcome.REJECTED_STALE, measured)
-        else:
-            config, performance, estimated = candidate, measured, False
-        new_state = BestState(
-            version=latest.version + 1,
-            config=config,
-            performance=performance,
-            estimated=estimated,
-            updated_by=proposer,
-            updated_at=job.clock.now(),
-        )
-        try:
-            result = commit_update(job, new_state, change=proposal)
-        except LockContentionError as exc:
-            # Under extreme coordination load the commit may never get its
-            # turn; the measured result is then just another wasted analysis.
-            log.warning("%s: giving up on commit: %s", proposer, exc)
-            return MergeOutcome(Outcome.REJECTED_STALE, measured)
-        if isinstance(result, Committed):
-            return MergeOutcome(Outcome.COMMITTED, measured, state=result.state)
-        latest = result.current
-    return MergeOutcome(Outcome.REJECTED_STALE, measured)
-
-
-@dataclass(frozen=True)
-class EstimateAudit:
-    recorded: BestState
-    exact_performance: float
-    drift: float
-
-
-def audit_estimate(job: JobDirectory, objective: Objective) -> EstimateAudit:
-    """Re-evaluate the stored best configuration and report how far the
-    recorded (possibly additively estimated) performance drifted from it."""
-    state = read_best(job)
-    exact = objective.evaluate(state.config)
-    return EstimateAudit(recorded=state, exact_performance=exact, drift=abs(state.performance - exact))
+    else:
+        delta = measured - base.performance
+        proposal = ChangeProposal(index=index, new_value=new_value, delta=delta, proposer=proposer)
+        outcome = Outcome.REJECTED_STALE  # unless a commit lands within the retries
+        latest = _io_retry(job, read_best, job)
+        for _ in range(MERGE_MAX_RETRIES + 1):
+            if latest.version == base.version:
+                config, performance, estimated = candidate, measured, False
+            elif latest.config[index] != base.config[index]:
+                # Someone changed the very element we modified; our measurement
+                # no longer describes any reachable configuration.
+                outcome = Outcome.REJECTED_CONFLICT
+                break
+            elif mode is OptimizerMode.CHANGE_MERGE:
+                config = latest.config[:index] + (new_value,) + latest.config[index + 1 :]
+                performance, estimated = latest.performance + delta, True
+            elif measured <= latest.performance:  # REPLACE_IF_BETTER: stale
+                break
+            else:
+                config, performance, estimated = candidate, measured, False
+            new_state = BestState(
+                version=latest.version + 1,
+                config=config,
+                performance=performance,
+                estimated=estimated,
+                updated_by=proposer,
+                updated_at=job.clock.now(),
+            )
+            try:
+                result = commit_update(job, new_state, change=proposal)
+            except LockContentionError as exc:
+                # Under extreme coordination load the commit may never get its
+                # turn; the measured result is then just another wasted analysis.
+                log.warning("%s: giving up on commit: %s", proposer, exc)
+                break
+            if isinstance(result, Committed):
+                outcome, stored = Outcome.COMMITTED, result.state
+                committed_version, recorded_performance = stored.version, stored.performance
+                break
+            latest = result.current
+    return ProposalRecord(proposer, job.clock.now(), base.version, index, new_value, measured,
+                          outcome, committed_version, recorded_performance)
 
 
 def _io_retry(job: JobDirectory, fn: Callable[..., object], *args):
@@ -447,7 +434,7 @@ def work_loop(
                 break
 
         try:
-            outcome = evaluate_and_merge(
+            record = evaluate_and_merge(
                 job, base, change, objective, mode, proposer=worker_id, cancel=cancel
             )
         except EvaluationAborted:
@@ -455,7 +442,7 @@ def work_loop(
             sweep = None
             continue
         proposals += 1
-        kind = outcome.kind
+        kind = record.outcome
         counts[0] += 1
         counts[kind.slot] += 1
         if kind is Outcome.COMMITTED:
@@ -463,31 +450,10 @@ def work_loop(
         elif kind is not Outcome.REJECTED_NOT_BETTER:
             sweep = None
         if log.isEnabledFor(logging.INFO):
-            log.info(
-                "t=%.3f %s: base v%d change (%d -> %d) %s",
-                job.clock.now(),
-                worker_id,
-                base.version,
-                change[0],
-                change[1],
-                kind.value,
-            )
+            log.info("t=%.3f %s: base v%d change (%d -> %d) %s", record.time, worker_id,
+                     record.base_version, record.index, record.new_value, kind.value)
         if observer is not None:
-            observer(
-                ProposalRecord(
-                    worker=worker_id,
-                    time=job.clock.now(),
-                    base_version=base.version,
-                    index=change[0],
-                    new_value=change[1],
-                    measured=outcome.measured,
-                    outcome=kind,
-                    committed_version=outcome.new_version,
-                    recorded_performance=(
-                        outcome.state.performance if outcome.state is not None else None
-                    ),
-                )
-            )
+            observer(record)
 
     flush()
     return LoopReport(WorkerTally(*counts), aborted, exit_reason)

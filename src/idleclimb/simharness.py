@@ -691,7 +691,9 @@ def run_sim(
         kernel.spawn(w.id, _worker_body(w, kernel, job, setup, sim, records, events,
                                         kill_times, stats))
     if clear_signal_at is not None:
-        kernel.spawn("<operator>", _operator_body(kernel, job, clear_signal_at, events))
+        # Ids hold no whitespace, so no worker has this name; it sorts right
+        # after "<operator>", which takes the same turn against other ids.
+        kernel.spawn("<operator> task", _operator_body(kernel, job, clear_signal_at, events))
 
     kernel.run()
 

@@ -853,6 +853,27 @@ class TestTallyReader:
         assert reader.per_worker == {"w9": WorkerTally(evaluations=2)}
         assert reader.evaluations_excluding("w9") == 0
 
+    def test_a_forced_init_during_a_tail_read_keeps_the_old_log_out_of_the_fold(self):
+        backend = _Overtaken()
+        job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="t")
+        publish_initial(job, state(performance=1.0))
+        for i in range(3):
+            append_tally(job, f"w{i}", WorkerTally(evaluations=101))
+
+        def reinit():
+            publish_initial(job, state(performance=0.5), force=True)
+            append_tally(job, "w9", WorkerTally(evaluations=2))
+
+        backend.overtake = reinit
+        reader = TallyReader(job)
+        reader.refresh()  # its tail is the old log's, read before the reset
+        assert reader.per_worker == {}
+        assert reader._fold.end == 0
+        assert read_fleet_tally(job) == {"w9": WorkerTally(evaluations=2)}
+        reader.refresh()
+        assert reader.per_worker == {"w9": WorkerTally(evaluations=2)}
+        assert reader._fold.end == len(backend.read_text(CHANGES_FILE))
+
     def test_readers_on_threads_sharing_one_backend_agree(self, fs_job):
         job = fs_job()
         rounds, workers = 60, 4

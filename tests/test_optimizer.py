@@ -32,6 +32,7 @@ from idleclimb.coordination import (
     signal_exists,
     signal_set,
 )
+from idleclimb import optimizer
 from idleclimb.clock import VirtualClock
 from idleclimb.objective import (
     EvaluationAborted,
@@ -46,7 +47,6 @@ from idleclimb.optimizer import (
     OptimizerMode,
     Outcome,
     StopCondition,
-    audit_estimate,
     check_stop_during_evaluation,
     evaluate_and_merge,
     initialize,
@@ -152,7 +152,7 @@ class TestEvaluateAndMerge:
         assert measured > base.performance
         outcome = evaluate_and_merge(job, base, change, OBJ8,
                                      OptimizerMode.REPLACE_IF_BETTER, proposer="w")
-        assert outcome.kind is Outcome.COMMITTED
+        assert outcome.outcome is Outcome.COMMITTED
         now = read_best(job)
         assert now.version == 1
         assert now.performance == measured
@@ -166,7 +166,7 @@ class TestEvaluateAndMerge:
         base = read_best(job)
         outcome = evaluate_and_merge(job, base, (0, 1), obj,
                                      OptimizerMode.REPLACE_IF_BETTER)
-        assert outcome.kind is Outcome.REJECTED_NOT_BETTER
+        assert outcome.outcome is Outcome.REJECTED_NOT_BETTER
         assert read_best(job).version == 0
 
     def test_same_index_conflict_rejected(self, mem_job):
@@ -175,10 +175,10 @@ class TestEvaluateAndMerge:
         # A commits a change to index 4 while B holds the old record.
         a = evaluate_and_merge(job, stale_base, (4, 1), OBJ8,
                                OptimizerMode.CHANGE_MERGE, proposer="a")
-        assert a.kind is Outcome.COMMITTED
+        assert a.outcome is Outcome.COMMITTED
         b = evaluate_and_merge(job, stale_base, (4, 1), OBJ8,
                                OptimizerMode.CHANGE_MERGE, proposer="b")
-        assert b.kind is Outcome.REJECTED_CONFLICT
+        assert b.outcome is Outcome.REJECTED_CONFLICT
         now = read_best(job)
         assert now.version == 1
         assert now.config == apply_change(stale_base.config, (4, 1))
@@ -193,17 +193,37 @@ class TestEvaluateAndMerge:
                                OptimizerMode.CHANGE_MERGE, proposer="a")
         b = evaluate_and_merge(job, base, change_b, OBJ8,
                                OptimizerMode.CHANGE_MERGE, proposer="b")
-        assert b.kind is Outcome.COMMITTED
+        assert b.outcome is Outcome.COMMITTED
         merged = read_best(job)
         assert merged.version == 2
         assert merged.config == apply_change(apply_change(base.config, change_a), change_b)
-        assert merged.performance == a.state.performance + delta_b
+        assert merged.performance == a.recorded_performance + delta_b
         assert merged.estimated
-        # The additive estimate is an approximation; the exact value is a
-        # fresh evaluation of the merged mask.
-        audit = audit_estimate(job, OBJ8)
-        assert audit.exact_performance == OBJ8.evaluate(merged.config)
-        assert audit.drift == abs(merged.performance - audit.exact_performance)
+
+    def test_only_a_commit_sets_the_committed_fields(self, mem_job):
+        job = fresh_job(mem_job)
+        base = read_best(job)
+        a = evaluate_and_merge(job, base, (4, 1), OBJ8, OptimizerMode.CHANGE_MERGE)
+        b = evaluate_and_merge(job, base, (7, 1), OBJ8, OptimizerMode.CHANGE_MERGE)
+        conflict = evaluate_and_merge(job, base, (4, 1), OBJ8, OptimizerMode.CHANGE_MERGE)
+        worse = evaluate_and_merge(job, read_best(job), (4, 0), OBJ8, OptimizerMode.CHANGE_MERGE)
+        stored = read_best(job)
+        assert (a.outcome, a.committed_version, a.recorded_performance) == (
+            Outcome.COMMITTED, 1, a.measured)
+        # b's record is an additive estimate: what was stored, not what b measured.
+        assert (b.outcome, b.committed_version, b.recorded_performance) == (
+            Outcome.COMMITTED, stored.version, stored.performance)
+        assert stored.estimated and b.recorded_performance != b.measured
+        stale_job = fresh_job(mem_job, config=(0, 0, 0, 0, 0, 0, 0, 1))
+        stale_base = read_best(stale_job)
+        evaluate_and_merge(stale_job, stale_base, (0, 1), OBJ8, OptimizerMode.REPLACE_IF_BETTER)
+        stale = evaluate_and_merge(stale_job, stale_base, (1, 1), OBJ8,
+                                   OptimizerMode.REPLACE_IF_BETTER)
+        for rec, outcome in ((conflict, Outcome.REJECTED_CONFLICT),
+                             (worse, Outcome.REJECTED_NOT_BETTER),
+                             (stale, Outcome.REJECTED_STALE)):
+            assert (rec.outcome, rec.committed_version, rec.recorded_performance) == (
+                outcome, None, None)
 
     def test_replace_if_better_drops_concurrent_change_when_winning(self, mem_job):
         # From (0,0,0,0,0,0,0,1): flipping index 1 improves a little,
@@ -216,10 +236,10 @@ class TestEvaluateAndMerge:
         assert base.performance < perf_small < perf_big
         a = evaluate_and_merge(job, base, small, OBJ8,
                                OptimizerMode.REPLACE_IF_BETTER, proposer="a")
-        assert a.kind is Outcome.COMMITTED
+        assert a.outcome is Outcome.COMMITTED
         b = evaluate_and_merge(job, base, big, OBJ8,
                                OptimizerMode.REPLACE_IF_BETTER, proposer="b")
-        assert b.kind is Outcome.COMMITTED
+        assert b.outcome is Outcome.COMMITTED
         now = read_best(job)
         # b's whole-configuration replace wins on raw performance and loses
         # a's concurrent index-1 improvement: the documented trade-off.
@@ -235,10 +255,10 @@ class TestEvaluateAndMerge:
         ) < OBJ8.evaluate(apply_change(base.config, big))
         a = evaluate_and_merge(job, base, big, OBJ8,
                                OptimizerMode.REPLACE_IF_BETTER, proposer="a")
-        assert a.kind is Outcome.COMMITTED
+        assert a.outcome is Outcome.COMMITTED
         b = evaluate_and_merge(job, base, small, OBJ8,
                                OptimizerMode.REPLACE_IF_BETTER, proposer="b")
-        assert b.kind is Outcome.REJECTED_STALE
+        assert b.outcome is Outcome.REJECTED_STALE
         assert read_best(job).config == apply_change(base.config, big)
 
     def test_cancel_between_evaluate_and_merge_discards(self, mem_job):
@@ -288,7 +308,7 @@ def test_stale_once_every_merge_retry_conflicts(mode):
     signal_set(job)
     base = read_best(job)
     outcome = evaluate_and_merge(job, base, (4, 1), OBJ8, mode, proposer="w")
-    assert outcome.kind is Outcome.REJECTED_STALE
+    assert outcome.outcome is Outcome.REJECTED_STALE
     assert backend.rivals == MERGE_MAX_RETRIES + 1
     assert read_best(job).version == MERGE_MAX_RETRIES + 1
     assert read_best(job).updated_by == "rival"
@@ -523,6 +543,22 @@ class TestWorkLoop:
         assert read_best(job).version == report.counts.commits
         assert report.evaluations == sum(report.counts[1:])
 
+    def test_the_observer_receives_the_record_the_merge_returned(self, mem_job, monkeypatch):
+        returned = []
+
+        def spy(*args, **kwargs):
+            returned.append(evaluate_and_merge(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(optimizer, "evaluate_and_merge", spy)
+        seen = []
+        work_loop(fresh_job(mem_job), "w", OBJ8, OptimizerMode.CHANGE_MERGE,
+                  StopCondition(max_total_evaluations=30), rng=random.Random(3),
+                  observer=seen.append)
+        assert len(seen) == len(returned) == 30
+        assert {rec.outcome for rec in seen} >= {Outcome.COMMITTED, Outcome.REJECTED_NOT_BETTER}
+        assert all(rec is ret for rec, ret in zip(seen, returned))
+
 
 class SleepingObjective:
     """Spends ``duration`` of virtual time per evaluation, then scores with
@@ -662,7 +698,7 @@ class TestTallySync:
         counted = JobDirectory(backend=CountingBackend(job.backend), clock=job.clock,
                                job_id=job.job_id)
         outcome = evaluate_and_merge(counted, base, (0, 1), obj, OptimizerMode.REPLACE_IF_BETTER)
-        assert outcome.kind is Outcome.REJECTED_NOT_BETTER
+        assert outcome.outcome is Outcome.REJECTED_NOT_BETTER
         assert not counted.backend.ops
 
 
@@ -724,7 +760,7 @@ class TestInvariants:
                                OptimizerMode.CHANGE_MERGE, proposer="a")
         b = evaluate_and_merge(job2, base2, change_b, OBJ8,
                                OptimizerMode.CHANGE_MERGE, proposer="b")
-        assert a.kind is Outcome.COMMITTED and b.kind is Outcome.COMMITTED
+        assert a.outcome is Outcome.COMMITTED and b.outcome is Outcome.COMMITTED
         kept = read_best(job2)
         assert kept.config[4] == 1 and kept.config[7] == 1
 

@@ -457,6 +457,18 @@ kill=day@42.5
         assert int(values["evaluations_total"]) >= 120
         assert values["incomplete"] == "0"
 
+    def test_a_worker_may_be_named_like_the_operator(self, tmp_path, capsys):
+        from idleclimb import simharness
+
+        scenario_file = tmp_path / "scenario.txt"
+        scenario_file.write_text("stop_max_evals=40\nclear_signal_at=5\n"
+                                 "worker=id=<operator>\nworker=id=b\n")
+        assert simharness.main(["run", "--scenario", str(scenario_file)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        values = dict(line.split("=", 1) for line in captured.out.splitlines())
+        assert (values["incomplete"], values["makespan"]) == ("0", "5.001000")
+
     def test_cli_sweep_with_csv(self, tmp_path, capsys):
         from idleclimb import simharness
 
