@@ -34,13 +34,10 @@ through files in it:
     that loop reports, simulator stats, exit lines and ``master report``
     share.  Any other line is ignored, and a half-written last line is
     never read (see :class:`Backend`).  Advisory: nothing reads it to
-    decide correctness.  Readers rely on the file only
-    growing: the :class:`TallyReader` objects made from one
-    :class:`JobDirectory` handle share its fold of the tally lines and read
-    on from where it ends, so readers that refresh in turn read and parse
-    each line once between them, not once each.  A forced
-    :func:`publish_initial` starts the file afresh and resets the fold of
-    the handle it is given.
+    decide correctness.  A forced :func:`publish_initial` appends one
+    ``#init`` line, and every reader counts only the lines after the last
+    one, so the file only grows (as :class:`TallyReader` relies on) and the
+    old job's lines stay above that line as history.
 
 Ordinary file shares offer no compare-and-swap, so updates go through the
 lock plus a write-to-temp-then-atomic-rename discipline, and every record
@@ -86,6 +83,8 @@ LOCK_DEADLINE = 30.0
 LOCK_BACKOFF = 0.05
 
 TALLY_PREFIX = "#tally"
+INIT_LINE = "#init"
+_INIT_TEXT = INIT_LINE + "\n"
 
 
 class CoordinationError(Exception):
@@ -385,16 +384,15 @@ class LockHandle:
 class _TallyFold:
     """changes.log's tally lines folded up to offset ``end``, which starts a
     line: what a reader that had read the log from its start to ``end``
-    would hold.  ``resets`` counts the forced inits that started the log
-    afresh.  Updated under ``lock``."""
+    would hold, counting from the last ``#init`` line before ``end``.
+    Updated under ``lock``; ``end`` only grows, so it is read without."""
 
-    __slots__ = ("lock", "end", "tallies", "resets")
+    __slots__ = ("lock", "end", "tallies")
 
     def __init__(self):
         self.lock = threading.Lock()
         self.end = 0
         self.tallies = _NO_TALLIES
-        self.resets = 0
 
 
 @dataclass(frozen=True)
@@ -605,16 +603,12 @@ def read_best(job: JobDirectory) -> BestState:
 
 def publish_initial(job: JobDirectory, state: BestState, force: bool = False) -> None:
     """Write the version-0 record.  Fails if one exists, unless forced; a
-    forced one also starts changes.log afresh and resets ``job``'s tally
-    fold, so the old job's commits and tallies do not count for the new one."""
+    forced one replaces it, then appends an ``#init`` line to changes.log,
+    after which no reader counts the old job's commits and tallies."""
     data = serialize_best(state)
     if force:
         job.backend.write_atomic(BEST_FILE, data)
-        job.backend.write_atomic(CHANGES_FILE, "")
-        fold = job._tally_fold
-        with fold.lock:
-            fold.end, fold.tallies = 0, _NO_TALLIES
-            fold.resets += 1
+        job.backend.append_line(CHANGES_FILE, INIT_LINE)
         return
     if not job.backend.create_exclusive(BEST_FILE, data):
         raise AlreadyInitializedError(
@@ -773,11 +767,23 @@ _Tallies = tuple[dict[str, tuple[str, ...]], dict[str, int], int]
 _NO_TALLIES: _Tallies = ({}, {}, 0)
 
 
+def _job_start(text: str) -> int:
+    """The offset of the current job's first line in ``text``, whole lines
+    from a line start: just past its last ``#init`` line, or 0 if it has none."""
+    at = text.rfind(_INIT_TEXT)
+    while at > 0 and text[at - 1] != "\n":  # inside a line, as a proposer id may be
+        at = text.rfind(_INIT_TEXT, 0, at)
+    return at + len(_INIT_TEXT) if at >= 0 else 0
+
+
 def _fold_lines(tallies: _Tallies, text: str) -> _Tallies:
-    """``tallies`` with the tally lines of ``text``, whole lines, folded in,
-    as new dicts.  Refolding a line already folded changes nothing, since
-    only each worker's last line counts."""
-    latest = {m[0]: m for m in _TALLY_LINE.findall(text)}
+    """``tallies`` with the tally lines of ``text``, whole lines from a line
+    start, folded in, as new dicts; an ``#init`` line in ``text`` drops what
+    precedes it, ``tallies`` included.  Refolding a line already folded
+    changes nothing, since only each worker's last line counts."""
+    start = _job_start(text)
+    tallies = _NO_TALLIES if start else tallies
+    latest = {m[0]: m for m in _TALLY_LINE.findall(text, start)}
     if not latest:
         return tallies
     fields, evals, total = tallies
@@ -790,27 +796,20 @@ def _fold_lines(tallies: _Tallies, text: str) -> _Tallies:
 
 
 class TallyReader:
-    """Incrementally folds changes.log tally lines into per-worker totals.
+    """Folds changes.log's tally lines into per-worker totals.
 
-    Tally counters are cumulative per worker, so only each worker's latest
-    line matters; reading just the file tail keeps the per-check cost flat.
-
-    The readers made from one :class:`JobDirectory` share its fold of the
-    log and keep no offset of their own; another handle, even on the same
-    backend object, folds alone.  A refresh reads the log from the fold's
-    end, folds that tail in if its read ends past the fold's end by then
-    (another reader may have moved it; refolding a line changes nothing,
-    since only each worker's last line counts), and takes the fold's
+    Tally counters are cumulative per worker, so only each worker's last
+    line counts, and refolding a line changes nothing.  The readers made
+    from one :class:`JobDirectory` share its fold and keep no offset of
+    their own; another handle, even on the same backend object, folds
+    alone.  A refresh reads the log on from the fold's end, folds that tail
+    in if its read ends past the fold's end by then, and takes the fold's
     tallies as its snapshot.  So readers of one handle that refresh in turn
-    read and parse each tally line once between them; readers whose
-    refreshes overlap may read the same tail.  A simulated fleet's p
-    readers share one handle.  The fold relies on changes.log only growing.
-    The one writer that replaces it, :func:`publish_initial` when forced,
-    resets the fold of the handle it is given, so all of that handle's
-    readers read the new log at their next refresh; a refresh whose read
-    overlapped the reset folds nothing in.  Other handles keep
-    their folds: a process that holds a job handle across a forced init
-    opens the job again, as the daemon does at each tick.
+    (a simulated fleet's p readers) read and parse each line once between
+    them; readers whose refreshes overlap may read the same tail.  The log
+    only grows, and a fold starts again from no tallies after an ``#init``
+    line: a reader on any handle reports a re-initialized job from its
+    first refresh whose read ends past that line, and the old job before.
 
     A fold keeps each worker's latest matched fields as text and a running
     sum of their ``evals``: it converts only the ``evals`` of the workers
@@ -826,12 +825,9 @@ class TallyReader:
 
     def refresh(self) -> None:
         fold = self._fold
+        tail, end = self._job.backend.read_tail(CHANGES_FILE, fold.end)
         with fold.lock:
-            start, resets = fold.end, fold.resets
-        tail, end = self._job.backend.read_tail(CHANGES_FILE, start)
-        with fold.lock:
-            # A reset during the read means the tail came from the old log.
-            if end > fold.end and resets == fold.resets:
+            if end > fold.end:
                 fold.tallies = _fold_lines(fold.tallies, tail)
                 fold.end = end
             self._tallies = fold.tallies
@@ -855,19 +851,20 @@ def read_fleet_tally(job: JobDirectory) -> dict[str, WorkerTally]:
 
 
 def read_commit_log(job: JobDirectory) -> list[tuple[int, int, int, float, str]]:
-    """Parsed commit lines: (version, index, new_value, delta, proposer).
+    """The current job's commit lines, those after the last ``#init`` line,
+    parsed: (version, index, new_value, delta, proposer).
 
     Read through :meth:`Backend.read_tail`, which never returns a torn
     last line, and split at newline characters only.  Tally lines and
     lines of another field count are skipped; a five-field line whose
     numbers do not parse raises :class:`FormatError`."""
     text, _ = job.backend.read_tail(CHANGES_FILE, 0)
+    start = _job_start(text)
+    first = text.count("\n", 0, start) + 1  # the file's number of the job's first line
     out = []
-    for number, line in enumerate(text.split("\n")[:-1], 1):
-        if not line or line.startswith("#"):
-            continue
+    for number, line in enumerate(text[start:].split("\n")[:-1], first):
         parts = line.split()
-        if len(parts) != 5:
+        if len(parts) != 5 or line.startswith("#"):
             continue
         try:
             out.append((int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]), parts[4]))

@@ -24,6 +24,9 @@ from .coordination import FormatError, build_record
 
 Config = tuple[int, ...]
 
+# The most phase levels: at about 100 bytes of tables a level, more could exhaust memory.
+MAX_LEVELS = 2**16
+
 # Asked by an objective between slices of its work: True to continue, False
 # to abandon the evaluation.  An objective that works in one step never asks.
 Checkpoint = Callable[[], bool]
@@ -83,8 +86,8 @@ class PhaseMaskObjective:
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("mask length must be >= 1")
-        if self.level_count < 2:
-            raise ValueError("need at least two phase levels")
+        if not 2 <= self.level_count <= MAX_LEVELS:
+            raise ValueError(f"phase levels must lie in [2, {MAX_LEVELS}]")
         if not 0 <= self.target_order < self.length:
             raise ValueError("target order must lie in [0, length)")
 

@@ -312,6 +312,19 @@ class TestCommit:
         job.backend.write_atomic(CHANGES_FILE, "1 2 1 0.5 w1\n2 4 0 0.5 desk07\n")
         assert read_commit_log(job) == [(1, 2, 1, 0.5, "w1"), (2, 4, 0, 0.5, "desk07")]
 
+    def test_only_the_lines_after_the_last_init_line_count(self, mem_job):
+        job = mem_job()
+        for line in ("1 2 x 0.5 w1", "#tally w1 evals=5 commits=1 not_better=4 conflict=0 stale=0",
+                     "#init", "1 2 1 0.5 w1", "#init", "1 3 1 0.5 w2", " #init", "#init ",
+                     "#tally w2 evals=2 commits=2 not_better=0 conflict=0 stale=0",
+                     "2 1 0 0.5 #init"):  # a proposer id is not an init line
+            job.backend.append_line(CHANGES_FILE, line)
+        assert read_commit_log(job) == [(1, 3, 1, 0.5, "w2"), (2, 1, 0, 0.5, "#init")]
+        assert read_fleet_tally(job) == {"w2": WorkerTally(evaluations=2, commits=2)}
+        job.backend.append_line(CHANGES_FILE, "3 1 x 0.5 w2")
+        with pytest.raises(FormatError, match="line 11 "):  # numbered from the file's start
+            read_commit_log(job)
+
     def test_a_malformed_commit_line_is_a_format_error(self, mem_job):
         job = mem_job()
         publish_initial(job, state(performance=1.0))
@@ -669,19 +682,25 @@ tallies = st.builds(WorkerTally, *[st.integers(0, 10**12)] * 5)
 class TestTallyReader:
     @settings(max_examples=80, deadline=None)
     @given(
-        writes=st.lists(st.one_of(st.tuples(worker_ids, tallies), st.just(None)),
+        writes=st.lists(st.one_of(st.tuples(worker_ids, tallies), st.just(None),
+                                  st.just("init")),
                         min_size=1, max_size=25),
         cuts=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 10**6)), max_size=12),
     )
     def test_chunked_reads_give_each_workers_last_tally(self, writes, cuts):
         # Three readers share one backend, and so one fold; each sees the log
         # cut at its own offsets, in increasing order, interleaved as drawn.
+        # A reader behind the fold reads a tail that overlaps what is folded,
+        # forced inits included.
         backend = _ChunkedLog()
         job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="t")
         expected = {}
         for write in writes:
             if write is None:
-                backend.append_line(CHANGES_FILE, "3 1 2 0.5 w1")  # a commit line
+                backend.append_line(CHANGES_FILE, "3 1 2 0.5 #init")  # a commit by "#init"
+            elif write == "init":
+                backend.append_line(CHANGES_FILE, "#init")  # as a forced init on any handle
+                expected = {}
             else:
                 append_tally(job, *write)
                 expected[write[0]] = write[1]
@@ -693,6 +712,8 @@ class TestTallyReader:
             backend.visible = cut
             reader = readers[i]
             reader.refresh()
+            log = backend.read_text(CHANGES_FILE)
+            assert reader.per_worker == line_by_line_tally(log[:reader._fold.end])
             # Longer than any generated id: a worker with no tally line yet.
             tallies = reader.per_worker
             for worker_id in [*tallies, "no-line-yet"]:
@@ -727,8 +748,9 @@ class TestTallyReader:
         for i in range(3):
             append_tally(job, f"w{i}", WorkerTally(evaluations=10 + i))
         assert len(read_fleet_tally(job)) == 3
+        old = job.backend.read_text(CHANGES_FILE)
         publish_initial(job, state(performance=0.5), force=True)
-        assert job.backend.read_text(CHANGES_FILE) == ""
+        assert job.backend.read_text(CHANGES_FILE) == old + "#init\n"
         assert read_fleet_tally(job) == {} and read_commit_log(job) == []
         append_tally(job, "w9", WorkerTally(evaluations=2))
         reader = TallyReader(job)
@@ -853,7 +875,27 @@ class TestTallyReader:
         assert reader.per_worker == {"w9": WorkerTally(evaluations=2)}
         assert reader.evaluations_excluding("w9") == 0
 
-    def test_a_forced_init_during_a_tail_read_keeps_the_old_log_out_of_the_fold(self):
+    @pytest.mark.parametrize("backend", ["mem", "fs"])
+    def test_a_reader_on_another_handle_reads_the_new_log_after_a_forced_init(
+            self, mem_job, fs_job, backend):
+        job = mem_job() if backend == "mem" else fs_job()
+        publish_initial(job, state(performance=1.0))
+        for i in range(3):
+            append_tally(job, f"w{i}", WorkerTally(evaluations=1000))
+        reader = TallyReader(job)
+        reader.refresh()
+        assert reader.evaluations_excluding("w9") == 3000
+        other = replace(job)  # a second handle on the same backend object
+        publish_initial(other, state(performance=0.5), force=True)
+        for n in range(1, 41):
+            append_tally(other, "w9", WorkerTally(evaluations=n))
+        reader.refresh()
+        assert reader.per_worker == {"w9": WorkerTally(evaluations=40)}
+        assert reader.evaluations_excluding("w9") == 0
+        assert reader.evaluations_excluding("w0") == 40
+        assert read_fleet_tally(job) == read_fleet_tally(other) == reader.per_worker
+
+    def test_a_refresh_overlapping_a_forced_init_reports_what_its_read_saw(self):
         backend = _Overtaken()
         job = JobDirectory(backend=backend, clock=VirtualClock(), job_id="t")
         publish_initial(job, state(performance=1.0))
@@ -866,9 +908,8 @@ class TestTallyReader:
 
         backend.overtake = reinit
         reader = TallyReader(job)
-        reader.refresh()  # its tail is the old log's, read before the reset
-        assert reader.per_worker == {}
-        assert reader._fold.end == 0
+        reader.refresh()  # its tail is the old job's, read before the init
+        assert reader.per_worker == {f"w{i}": WorkerTally(evaluations=101) for i in range(3)}
         assert read_fleet_tally(job) == {"w9": WorkerTally(evaluations=2)}
         reader.refresh()
         assert reader.per_worker == {"w9": WorkerTally(evaluations=2)}
@@ -1012,11 +1053,14 @@ class TestTallyReader:
 
 
 def line_by_line_tally(text):
-    """Each worker's last well-formed tally line, read one line at a time
-    with no regular expression: the reference for :func:`read_fleet_tally`."""
+    """Each worker's last well-formed tally line after the last ``#init``
+    line, read one line at a time with no regular expression: the reference
+    for :func:`read_fleet_tally`."""
     keys = ("evals", "commits", "not_better", "conflict", "stale")
     latest = {}
     for line in text.split("\n")[:-1]:  # what follows the last newline is torn
+        if line == "#init":
+            latest = {}
         parts = line.split(" ")
         if (len(parts) != 2 + len(keys) or parts[0] != "#tally" or not parts[1]
                 or any(c.isspace() for c in parts[1])):
@@ -1033,7 +1077,10 @@ def line_by_line_tally(text):
 
 
 def random_log_line(rng):
-    """A tally line, a commit line or one of the near misses a parser must skip."""
+    """A tally line, a commit line, now and then an ``#init`` line, or one of
+    the near misses a parser must skip."""
+    if rng.random() < 0.001:
+        return "#init"
     worker_id = rng.choice(["w1", "w2", "w\u00e9", "a=b", "w#3", "w\r", "w\x0b", ""]) + str(
         rng.randrange(40))
     counts = [rng.choice([0, 7, 10**12, rng.randrange(1000)]) for _ in range(5)]
@@ -1051,6 +1098,8 @@ def random_log_line(rng):
         tally.replace("not_better", "notbetter", 1),
         " " + tally,
         tally.replace("conflict=", "conflict=00", 1),
+        f"{rng.randrange(99)} 3 2 0.5 #init",
+        rng.choice(["#init ", " #init", "#init\r", "#initial", "#init" + tally]),
     ])
 
 
@@ -1231,16 +1280,23 @@ class TestMemBackendSemantics:
 
     @pytest.mark.parametrize("operation", ["write_atomic", "create_exclusive"])
     def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, operation):
-        def disk_full(data):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        failure = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def failing_write(data):
+            raise failure
 
         @contextlib.contextmanager
-        def open_on_a_full_disk(path, *args, **kwargs):
+        def open_where_writes_fail(path, *args, **kwargs):
             with open(path, *args, **kwargs):  # the file is created, the write fails
-                yield types.SimpleNamespace(write=disk_full)
+                yield types.SimpleNamespace(write=failing_write)
 
-        monkeypatch.setattr(coordination, "open", open_on_a_full_disk, raising=False)
+        monkeypatch.setattr(coordination, "open", open_where_writes_fail, raising=False)
         with pytest.raises(ShareUnreachableError, match="No space left"):
+            getattr(FsBackend(str(tmp_path)), operation)(BEST_FILE, "version=0\n")
+        assert os.listdir(tmp_path) == []
+        # Anything but an OSError propagates as it is, and takes the temp file too.
+        failure = KeyboardInterrupt()
+        with pytest.raises(KeyboardInterrupt):
             getattr(FsBackend(str(tmp_path)), operation)(BEST_FILE, "version=0\n")
         assert os.listdir(tmp_path) == []
 

@@ -1,11 +1,16 @@
-"""The README's worker configuration and scenario are read by the parsers
-and run as shown, so the documentation cannot drift from them."""
+"""The README's operator commands, worker configuration and scenario are
+read by the parsers and run as shown, so the documentation cannot drift
+from them."""
 
 import os
+import random
 import re
+import shlex
 
-from idleclimb import simharness
-from idleclimb.optimizer import OptimizerMode
+from idleclimb import master, simharness
+from idleclimb.coordination import CHANGES_FILE, JobDirectory, read_manifest
+from idleclimb.objective import from_manifest
+from idleclimb.optimizer import OptimizerMode, StopCondition, work_loop
 from idleclimb.worker import parse_worker_config
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -36,3 +41,36 @@ def test_readme_scenario_runs(tmp_path, capsys):
     report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert report["incomplete"] == "0"
     assert int(report["evaluations_total"]) > 0
+
+
+def test_readme_master_commands_run_as_shown(tmp_path, capsys):
+    jobdir = str(tmp_path / "job1")
+    block = readme_block(r"```sh\n(idleclimb master init .*?)```")
+    commands = [shlex.split(line.replace("/shared/job1", jobdir), comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    assert [words[:3] for words in commands] == [
+        ["idleclimb", "master", name]
+        for name in ("init", "start", "status", "stop", "report", "init")]
+    assert "--force" in commands[-1]
+    out = {}
+    for words in commands[:-1]:
+        assert master.main(words[2:]) == 0, words
+        out[words[2]] = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        if words[2] == "status":  # then a worker runs the job to its budget
+            job = JobDirectory.open(jobdir)
+            manifest = read_manifest(job)
+            work_loop(job, "desk07", from_manifest(manifest), OptimizerMode.CHANGE_MERGE,
+                      StopCondition.from_manifest(manifest), rng=random.Random(1))
+    assert out["status"]["signal"] == "present"
+    assert out["report"]["evaluations"] == "5000" and int(out["report"]["commits"]) > 0
+    log = os.path.join(jobdir, CHANGES_FILE)
+    with open(log, encoding="utf-8") as fh:
+        old = fh.read()
+    assert master.main(commands[-1][2:]) == 0
+    # The old job's lines stay, above one #init line, and count no more.
+    with open(log, encoding="utf-8") as fh:
+        assert fh.read() == old + "#init\n"
+    capsys.readouterr()
+    assert master.main(["report", jobdir]) == 0
+    report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert report["version"] == report["commits"] == report["evaluations"] == "0"

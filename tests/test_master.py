@@ -14,7 +14,7 @@ from idleclimb.coordination import (
     read_best,
     read_commit_log,
 )
-from idleclimb.objective import PhaseMaskObjective
+from idleclimb.objective import MAX_LEVELS, PhaseMaskObjective
 from idleclimb.optimizer import OptimizerMode, StopCondition, evaluate_and_merge, work_loop
 
 
@@ -72,16 +72,24 @@ class TestInit:
         first = work_loop(job, "w", obj, OptimizerMode.REPLACE_IF_BETTER, stop,
                           rng=random.Random(5))
         assert first.exit_reason == "stop_condition" and read_commit_log(job)
+        old = (tmp_path / "job" / CHANGES_FILE).read_text()
         assert run(capsys, "init", jobdir, "--stop-max-evals", "50", "--force",
                    "--seed", "2")[0] == 0
+        # The old job's lines stay as history, above one #init line.
+        assert (tmp_path / "job" / CHANGES_FILE).read_text() == old + "#init\n"
         assert read_commit_log(job) == [] and read_best(job).version == 0
+        assert run(capsys, "status", jobdir)[1]["commits"] == "0"
         run(capsys, "start", jobdir)
-        job = JobDirectory.open(jobdir)  # as the next daemon tick opens it
+        # On the handle opened before the init: its fold read the old job.
         again = work_loop(job, "w", obj, OptimizerMode.REPLACE_IF_BETTER, stop,
                           rng=random.Random(6))
-        assert again.evaluations >= 50
-        assert [line[0] for line in read_commit_log(job)] == list(
-            range(1, read_best(job).version + 1))
+        assert again.exit_reason == "stop_condition" and again.evaluations == 50
+        commits = read_commit_log(job)
+        assert [line[0] for line in commits] == list(range(1, read_best(job).version + 1))
+        code, values, _ = run(capsys, "report", jobdir)
+        assert code == 0 and values["evaluations"] == "50"
+        assert values["commits"] == run(capsys, "status", jobdir)[1]["commits"] == str(
+            len(commits))
 
     def test_force_while_the_signal_is_present_exits_3_and_writes_nothing(self, tmp_path,
                                                                          capsys):
@@ -121,6 +129,9 @@ class TestInit:
         (["--n", "abc"], "n='abc'"),
         (["--stop-target", "soon"], "stop_target='soon'"),
         (["--init-config", "zeros"], "'zeros'"),
+        (["--n", "0"], "mask length must be >= 1"),
+        # Its tables would take about 10 GB at 10**8 levels.
+        (["--levels", str(MAX_LEVELS + 1)], f"phase levels must lie in [2, {MAX_LEVELS}]"),
         # Each of these used to be written to the manifest; a NaN target
         # never fires.
         (["--stop-target", "nan"], "target_performance"),

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from idleclimb.coordination import FormatError
 from idleclimb.objective import (
+    MAX_LEVELS,
     PhaseMaskObjective,
     efficiency,
     from_manifest,
@@ -240,6 +241,7 @@ class TestManifest:
         {"objective": "phase_mask", "n": "eight", "levels": "2", "target_order": "0"},
         {"objective": "phase_mask", "n": "4", "levels": "1", "target_order": "0"},
         {"objective": "phase_mask", "n": "4"},
+        {"objective": "phase_mask", "n": "4", "levels": str(MAX_LEVELS + 1), "target_order": "0"},
     ])
     def test_bad_manifest_is_a_format_error(self, params):
         with pytest.raises(FormatError):
