@@ -11,9 +11,15 @@ repeatable.
 import random
 
 from idleclimb.clock import VirtualClock
-from idleclimb.coordination import JobDirectory, MemBackend, signal_set
+from idleclimb.coordination import (
+    JobDirectory,
+    MemBackend,
+    read_manifest,
+    signal_set,
+    write_manifest,
+)
 from idleclimb.objective import PhaseMaskObjective
-from idleclimb.optimizer import StopCondition, initialize
+from idleclimb.optimizer import initialize, job_from_manifest
 from idleclimb.simharness import ClockedObjective
 from idleclimb.worker import TraceProbe, WorkerConfig, run_daemon
 
@@ -28,23 +34,29 @@ clock = VirtualClock(NINE)  # the daemon comes up at 09:00
 obj = PhaseMaskObjective(length=8, level_count=2, target_order=1)
 job = JobDirectory(backend=MemBackend(), clock=clock, job_id="office")
 initialize(job, (0,) * 8, obj)
+write_manifest(job, obj.manifest_params())  # no stop keys: it runs until stopped
 signal_set(job)
 
 # The user types until 09:00, pops back for lunch email at 14:00, and leaves
 # for the day at 17:30 (activity resets the idle timer each time).
 trace = TraceProbe(idle_since=NINE, activity_times=(14 * 3600.0, 17.5 * 3600.0))
 
-# One evaluation takes 30 virtual seconds, checked for cancellation every
-# virtual second, which is why kills land within a second of the activity.
-timed = ClockedObjective(obj, clock, duration=30.0, checkpoint_fraction=1 / 30)
+
+def job_for(job):
+    """The job as its manifest describes it, as the daemon reads it by
+    default, except that one evaluation takes 30 virtual seconds, checked
+    for cancellation every virtual second: that is why kills land within a
+    second of the activity."""
+    objective, stop = job_from_manifest(read_manifest(job))
+    return ClockedObjective(objective, clock, duration=30.0, checkpoint_fraction=1 / 30), stop
+
 
 report = run_daemon(
     WorkerConfig(jobs=(job,), worker_id="desk07"),
     trace,
     clock,
     cancel=lambda: clock.now() >= NINE + 15 * 3600.0,  # stop replay at midnight
-    objective_for=lambda j: timed,
-    stop_for=lambda j: StopCondition(),
+    job_for=job_for,
     rng=random.Random(7),
 )
 

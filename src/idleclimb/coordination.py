@@ -696,14 +696,13 @@ def commit_line(version: int, change: ChangeProposal) -> str:
     )
 
 
-def commit_update(
-    job: JobDirectory, new_state: BestState, *, change: ChangeProposal | None = None
-) -> CommitResult:
+def commit_update(job: JobDirectory, new_state: BestState, *,
+                  change: ChangeProposal) -> CommitResult:
     """Compare-and-swap on the best record, keyed by ``new_state.version``.
 
     Under the lock: if ``new_state`` follows the stored version, replace the
-    record atomically and append the audit line for ``change``; otherwise
-    write nothing and return the freshly read current record.
+    record atomically and append ``change``'s audit line, which every commit
+    has; otherwise write nothing and return the freshly read current record.
     """
     handle = acquire_lock(job, new_state.updated_by)
     try:
@@ -711,8 +710,7 @@ def commit_update(
         if current.version + 1 != new_state.version:
             return VersionConflict(current=current)
         job.backend.write_atomic(BEST_FILE, serialize_best(new_state))
-        if change is not None:
-            job.backend.append_line(CHANGES_FILE, commit_line(new_state.version, change))
+        job.backend.append_line(CHANGES_FILE, commit_line(new_state.version, change))
         return Committed(state=new_state)
     finally:
         release_lock(job, handle)

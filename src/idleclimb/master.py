@@ -37,8 +37,7 @@ def cmd_init(args) -> int:
     params = {"objective": "phase_mask", **vars(args)}
     job_id = args.job_id or os.path.basename(os.path.abspath(args.dir))
     try:
-        objective = objmod.from_manifest(params)
-        stop = optimizer.StopCondition.from_manifest(params)
+        objective, stop = optimizer.job_from_manifest(params)
         config = objmod.initial_config(objective, args.init_config, args.seed)
         if job_id != job_id.strip() or len(job_id.splitlines()) != 1:  # as the manifest reads it
             raise ValueError(f"job_id={job_id!r}: must be one non-empty line, not space-padded")

@@ -48,6 +48,7 @@ from .coordination import (
     signal_exists,
 )
 from .objective import Config, EvaluationAborted, Objective, neighbors, validate_config
+from .objective import from_manifest as objective_from_manifest
 
 log = logging.getLogger(__name__)
 
@@ -139,6 +140,10 @@ class StopCondition:
         :class:`FormatError`."""
         return build_record(StopCondition, params, STOP_KEYS, "stop condition", required=False)
 
+
+def job_from_manifest(params: Mapping[str, str]) -> tuple[Objective, StopCondition]:
+    """The objective and stop condition a manifest describes, or a FormatError."""
+    return objective_from_manifest(params), StopCondition.from_manifest(params)
 
 
 class ProposalRecord(NamedTuple):
@@ -251,7 +256,8 @@ def evaluate_and_merge(
     The signal is read only where it can change the outcome: at checkpoints
     between slices of the evaluation, and once before a merge.  A not-better
     result writes nothing, so after the evaluation only ``cancel`` can void
-    it.
+    it.  A re-read record of another length than the base's comes from a
+    re-init, and ends the merge REJECTED_STALE; a same-length one does not.
     """
     index, new_value = change
     candidate = base.config[:index] + (new_value,) + base.config[index + 1 :]
@@ -278,6 +284,8 @@ def evaluate_and_merge(
         outcome = Outcome.REJECTED_STALE  # unless a commit lands within the retries
         latest = _io_retry(job, read_best, job)
         for _ in range(MERGE_MAX_RETRIES + 1):
+            if len(latest.config) != len(base.config):  # the job was re-initialized
+                break
             if latest.version == base.version:
                 config, performance, estimated = candidate, measured, False
             elif latest.config[index] != base.config[index]:

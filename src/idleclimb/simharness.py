@@ -101,7 +101,6 @@ from .objective import (
     EvaluationAborted,
     Objective,
     PhaseMaskObjective,
-    from_manifest,
     initial_config,
 )
 from .optimizer import (
@@ -111,6 +110,7 @@ from .optimizer import (
     ProposalRecord,
     StopCondition,
     initialize,
+    job_from_manifest,
     work_loop,
 )
 
@@ -906,9 +906,9 @@ def _read_job(values: Mapping[str, Any]) -> tuple[JobSetup, SimConfig]:
     """The job keys of a scenario, or of ``sim sweep``'s options.  The
     objective and stop keys are a manifest's; a key left out takes the
     :func:`default_setup` or dataclass default."""
-    objective = from_manifest({**default_setup().objective.manifest_params(), **values})
+    objective, stop = job_from_manifest({**default_setup().objective.manifest_params(), **values})
     setup = JobSetup(objective=objective, **convert_fields(values, _SETUP_KEYS))
-    sim = SimConfig(stop=StopCondition.from_manifest(values), **convert_fields(values, _SIM_KEYS))
+    sim = SimConfig(stop=stop, **convert_fields(values, _SIM_KEYS))
     return setup, sim
 
 

@@ -44,8 +44,8 @@ from .coordination import (
     reject_unknown,
     signal_exists,
 )
-from .objective import Objective, from_manifest as objective_from_manifest
-from .optimizer import LoopReport, OptimizerMode, StopCondition, work_loop
+from .objective import Objective
+from .optimizer import LoopReport, OptimizerMode, StopCondition, job_from_manifest, work_loop
 
 log = logging.getLogger(__name__)
 
@@ -59,9 +59,14 @@ class SkipReason(Enum):
 
 @dataclass(frozen=True)
 class TickDecision:
-    start: bool
+    """A tick's decision: Start the loop on ``job``, or Skip for ``reason``."""
+
     job: JobDirectory | None = None
     reason: SkipReason | None = None
+
+    @property
+    def start(self) -> bool:
+        return self.job is not None
 
 
 class IdleProbe(Protocol):
@@ -191,31 +196,38 @@ def scheduler_tick(
     """
     tod = clock.time_of_day(now) if clock is not None else now % SECONDS_PER_DAY
     if not in_daily_window(config, tod):
-        return TickDecision(False, reason=SkipReason.OUTSIDE_WINDOW)
+        return TickDecision(reason=SkipReason.OUTSIDE_WINDOW)
     if probe.idle_duration(now) < config.idle_threshold:
-        return TickDecision(False, reason=SkipReason.NOT_IDLE)
+        return TickDecision(reason=SkipReason.NOT_IDLE)
     any_error = False
     for entry in config.jobs:
         try:
             job = entry if isinstance(entry, JobDirectory) else JobDirectory.open(entry, clock)
             if signal_exists(job):
-                return TickDecision(True, job=job)
+                return TickDecision(job)
         except CoordinationError:
             any_error = True
-    return TickDecision(
-        False, reason=SkipReason.SHARE_ERROR if any_error else SkipReason.NO_SIGNAL
-    )
+    return TickDecision(reason=SkipReason.SHARE_ERROR if any_error else SkipReason.NO_SIGNAL)
 
 
 @dataclass
 class DaemonReport:
-    ticks: int = 0
-    starts: int = 0
+    """Each tick's decision and each returned loop's report.  Every start
+    ends as one kill, completed loop or failed loop (with no loop report)."""
+
     kills: int = 0
     completed_loops: int = 0
     failed_loops: int = 0
     decisions: list[tuple[float, TickDecision]] = field(default_factory=list)
     loop_reports: list[LoopReport] = field(default_factory=list)
+
+    @property
+    def ticks(self) -> int:
+        return len(self.decisions)
+
+    @property
+    def starts(self) -> int:
+        return self.completed_loops + self.kills + self.failed_loops
 
 
 def run_daemon(
@@ -224,20 +236,19 @@ def run_daemon(
     clock: Clock,
     cancel: Callable[[], bool],
     *,
-    objective_for: Callable[[JobDirectory], Objective] | None = None,
-    stop_for: Callable[[JobDirectory], StopCondition] | None = None,
+    job_for: Callable[[JobDirectory], tuple[Objective, StopCondition]] | None = None,
     rng: random.Random | None = None,
     observer=None,
 ) -> DaemonReport:
     """Tick until cancelled, launching the work loop on Start decisions and
     cancelling it the moment the activity probe reports the user is back.
 
-    The objective and stop condition default to whatever the job manifest
-    describes; tests may inject both.  A loop that fails with a protocol
-    error, a malformed manifest included, is logged and skipped.
+    ``job_for`` gives each started loop its objective and stop condition;
+    by default it reads the job's manifest once, by :func:`job_from_manifest`.
+    A loop that fails with a protocol error (a malformed manifest, or a job
+    re-initialized under it) is logged and counted as failed.
     """
-    objective_for = objective_for or (lambda job: objective_from_manifest(read_manifest(job)))
-    stop_for = stop_for or (lambda job: StopCondition.from_manifest(read_manifest(job)))
+    job_for = job_for or (lambda job: job_from_manifest(read_manifest(job)))
     rng = rng or random.Random()
     report = DaemonReport()
     next_tick = clock.now()
@@ -248,55 +259,36 @@ def run_daemon(
             clock.sleep(next_tick - now)
             continue
         decision = scheduler_tick(config, probe, now, clock=clock)
-        report.ticks += 1
         report.decisions.append((now, decision))
-        if decision.start:
-            assert decision.job is not None
-            _run_one_loop(config, probe, clock, cancel, decision.job, report,
-                          objective_for, stop_for, rng, observer)
+        if (job := decision.job) is not None:
+            loop_start, killed = clock.now(), False
+
+            def loop_cancel() -> bool:
+                nonlocal killed
+                if cancel():
+                    return True
+                now = clock.now()
+                killed = probe.idle_duration(now) < (now - loop_start) - 1e-9 or killed
+                return killed
+
+            try:
+                objective, stop = job_for(job)
+                loop = work_loop(job, config.worker_id, objective, config.mode, stop,
+                                 loop_cancel, rng=rng, observer=observer)
+            except CoordinationError as exc:
+                log.warning("%s: loop on %s failed: %s", config.worker_id, job.path, exc)
+                report.failed_loops += 1
+            else:
+                report.loop_reports.append(loop)
+                if loop.exit_reason == "cancelled" and killed:
+                    report.kills += 1
+                    log.info("%s: killed by user activity on %s", config.worker_id, job.path)
+                else:
+                    report.completed_loops += 1
         next_tick += config.poll_interval
         while next_tick <= clock.now():
             next_tick += config.poll_interval
     return report
-
-
-def _run_one_loop(config, probe, clock, cancel, job, report,
-                  objective_for, stop_for, rng, observer) -> None:
-    report.starts += 1
-    loop_start = clock.now()
-    killed = False
-
-    def loop_cancel() -> bool:
-        nonlocal killed
-        if cancel():
-            return True
-        now = clock.now()
-        if probe.idle_duration(now) < (now - loop_start) - 1e-9:
-            killed = True
-            return True
-        return killed
-
-    try:
-        loop_report = work_loop(
-            job,
-            config.worker_id,
-            objective_for(job),
-            config.mode,
-            stop_for(job),
-            loop_cancel,
-            rng=rng,
-            observer=observer,
-        )
-    except CoordinationError as exc:
-        log.warning("%s: loop on %s failed: %s", config.worker_id, job.path, exc)
-        report.failed_loops += 1
-        return
-    report.loop_reports.append(loop_report)
-    if loop_report.exit_reason == "cancelled" and killed:
-        report.kills += 1
-        log.info("%s: killed by user activity on %s", config.worker_id, job.path)
-    else:
-        report.completed_loops += 1
 
 
 # ---------------------------------------------------------------------------

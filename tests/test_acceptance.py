@@ -9,11 +9,13 @@ import io
 import multiprocessing
 import random
 import time
+import traceback
 
 from idleclimb import coordination
 from idleclimb.clock import VirtualClock, WallClock
 from idleclimb.coordination import (
     BestState,
+    ChangeProposal,
     Committed,
     FsBackend,
     JobDirectory,
@@ -21,6 +23,7 @@ from idleclimb.coordination import (
     parse_best,
     publish_initial,
     read_best,
+    read_commit_log,
     serialize_best,
     signal_set,
 )
@@ -165,7 +168,9 @@ def test_04_crash_safety_fuzz(tmp_path):
             clock=clock, job_id="crash",
         )
         try:
-            result = commit_update(wrapped, candidate)
+            change = ChangeProposal(index, value, candidate.performance - current.performance,
+                                    candidate.updated_by)
+            result = commit_update(wrapped, candidate, change=change)
             if isinstance(result, Committed):
                 committed.add(serialize_best(candidate))
         except CrashInjected:
@@ -188,16 +193,23 @@ def test_04_crash_safety_fuzz(tmp_path):
 
 
 def _cas_contender(path, slot, rounds, barrier, queue):
-    job = JobDirectory(backend=FsBackend(path), clock=WallClock(), job_id="cas")
-    outcomes = []
-    for r in range(rounds):
-        barrier.wait()
-        result = commit_update(
-            job,
-            BestState(version=r + 1, config=(r + 1,), performance=float(r + 1),
-                      estimated=False, updated_by=f"p{slot}", updated_at=0.0),
-        )
-        outcomes.append(isinstance(result, Committed))
+    """Race ``rounds`` commits and put this slot's outcomes on ``queue``, or
+    the error that ended it, after breaking the barrier for the others."""
+    try:
+        job = JobDirectory(backend=FsBackend(path), clock=WallClock(), job_id="cas")
+        outcomes = []
+        for r in range(rounds):
+            barrier.wait()
+            result = commit_update(
+                job,
+                BestState(version=r + 1, config=(r + 1,), performance=float(r + 1),
+                          estimated=False, updated_by=f"p{slot}", updated_at=0.0),
+                change=ChangeProposal(0, r + 1, 1.0, f"p{slot}"),
+            )
+            outcomes.append(isinstance(result, Committed))
+    except Exception:  # noqa: BLE001 - reported to the parent, which fails the test
+        barrier.abort()
+        outcomes = f"contender {slot} failed:\n{traceback.format_exc()}"
     queue.put((slot, outcomes))
 
 
@@ -225,6 +237,8 @@ def test_05_cas_soundness_across_processes(tmp_path, monkeypatch):
         results[slot] = outcomes
     for child in children:
         child.join(timeout=30)
+    failed = [outcomes for outcomes in results.values() if not isinstance(outcomes, list)]
+    assert not failed, failed
 
     violations = 0
     for r in range(rounds):
@@ -232,7 +246,8 @@ def test_05_cas_soundness_across_processes(tmp_path, monkeypatch):
         if winners != 1:
             violations += 1
     final = read_best(job)
-    ok = violations == 0 and final.version == rounds
+    versions = [line[0] for line in read_commit_log(job)]
+    ok = violations == 0 and final.version == rounds and versions == list(range(1, rounds + 1))
     finish(5, "CAS soundness, 8 processes x 200 rounds", ok, started, 60.0,
            f"{violations} violations, final version {final.version}")
 
@@ -312,8 +327,7 @@ def test_08_scheduler_contract():
         WorkerConfig(jobs=(job,), worker_id="pc"),
         probe, clock,
         cancel=lambda: clock.now() >= nine + 7 * 3600.0,
-        objective_for=lambda j: Recording(),
-        stop_for=lambda j: StopCondition(),
+        job_for=lambda j: (Recording(), StopCondition()),
         rng=random.Random(2),
         observer=lambda rec: commits.append(rec.time)
         if rec.outcome is Outcome.COMMITTED else None,

@@ -268,9 +268,9 @@ class TestCommit:
         job = mem_job()
         publish_initial(job, state(performance=1.0))
         for v in range(5):
-            commit_update(job, state(version=v + 1, performance=1.0 + v + 1))
+            commit_update(job, state(version=v + 1, performance=1.0 + v + 1), change=proposal())
         before = job.backend.read_text(BEST_FILE)
-        result = commit_update(job, state(version=4, performance=9.0))
+        result = commit_update(job, state(version=4, performance=9.0), change=proposal())
         assert isinstance(result, VersionConflict)
         assert result.current.version == 5
         assert job.backend.read_text(BEST_FILE) == before
@@ -362,7 +362,8 @@ class TestCommit:
         def writer():
             for v in range(300):
                 commit_update(job, state(version=v + 1, performance=float(v + 1),
-                                         updated_by="writer", updated_at=float(v)))
+                                         updated_by="writer", updated_at=float(v)),
+                              change=proposal(proposer="writer"))
             stop.set()
 
         threads = [threading.Thread(target=reader, args=(i,)) for i in range(2)]
@@ -472,7 +473,7 @@ class TestLock:
         child.join(timeout=10.0)
 
         assert read_best(job).performance == 1.0  # pre-crash record intact
-        result = commit_update(job, state(version=1, performance=2.0))
+        result = commit_update(job, state(version=1, performance=2.0), change=proposal())
         assert isinstance(result, Committed)
         assert read_best(job).version == 1
 
@@ -514,7 +515,7 @@ class TestCrashInjection:
             recovery_clock = VirtualClock(1000.0)
             recovered = JobDirectory(backend=FsBackend(path), clock=recovery_clock,
                                      job_id="crash")
-            result = commit_update(recovered, follow_up)
+            result = commit_update(recovered, follow_up, change=proposal(proposer="next"))
             assert isinstance(result, Committed)
 
 
@@ -534,7 +535,8 @@ class TestCasSoundness:
             for r in range(rounds):
                 barrier.wait()
                 result = commit_update(
-                    job, state(version=r + 1, performance=float(r + 1), updated_by=f"t{slot}")
+                    job, state(version=r + 1, performance=float(r + 1), updated_by=f"t{slot}"),
+                    change=proposal(proposer=f"t{slot}"),
                 )
                 outcomes[r][slot] = result
 

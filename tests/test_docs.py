@@ -9,8 +9,7 @@ import shlex
 
 from idleclimb import master, simharness
 from idleclimb.coordination import CHANGES_FILE, JobDirectory, read_manifest
-from idleclimb.objective import from_manifest
-from idleclimb.optimizer import OptimizerMode, StopCondition, work_loop
+from idleclimb.optimizer import OptimizerMode, job_from_manifest, work_loop
 from idleclimb.worker import parse_worker_config
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -58,9 +57,9 @@ def test_readme_master_commands_run_as_shown(tmp_path, capsys):
         out[words[2]] = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
         if words[2] == "status":  # then a worker runs the job to its budget
             job = JobDirectory.open(jobdir)
-            manifest = read_manifest(job)
-            work_loop(job, "desk07", from_manifest(manifest), OptimizerMode.CHANGE_MERGE,
-                      StopCondition.from_manifest(manifest), rng=random.Random(1))
+            objective, stop = job_from_manifest(read_manifest(job))
+            work_loop(job, "desk07", objective, OptimizerMode.CHANGE_MERGE, stop,
+                      rng=random.Random(1))
     assert out["status"]["signal"] == "present"
     assert out["report"]["evaluations"] == "5000" and int(out["report"]["commits"]) > 0
     log = os.path.join(jobdir, CHANGES_FILE)

@@ -13,6 +13,7 @@ from support import brute_force_optimum, naive_replace
 from idleclimb.coordination import (
     AlreadyInitializedError,
     BEST_FILE,
+    ChangeProposal,
     FormatError,
     FsBackend,
     JobDirectory,
@@ -315,6 +316,42 @@ def test_stale_once_every_merge_retry_conflicts(mode):
     assert read_commit_log(job) == [] and not backend.exists(LOCK_FILE)
 
 
+@pytest.mark.parametrize("base_version", [0, 1])
+@pytest.mark.parametrize("mode", list(OptimizerMode))
+def test_a_proposal_in_flight_across_a_reinit_is_stale(mem_job, mode, base_version):
+    """During the evaluation of a change at element 12 of a 16-element job,
+    the operator stops the job, re-initializes it with 8 elements and starts
+    it again.  The merge must not index the new record by the old change
+    (an IndexError at base version 1) nor commit the 16-element candidate
+    into the new job (at base version 0, which the new job reuses)."""
+    job = mem_job()
+    obj16 = PhaseMaskObjective(length=16, level_count=4, target_order=3)
+    obj8 = PhaseMaskObjective(length=8, level_count=4, target_order=3)
+    base = initialize(job, (0,) * 16, obj16)
+    signal_set(job)
+    if base_version:
+        base = replace(base, version=1, updated_by="other")
+        commit_update(job, base, change=ChangeProposal(0, 0, 0.0, "other"))
+
+    class Reinit:
+        """obj16, with the operator's stop, re-init and start during it."""
+
+        length, level_count, cost_hint = obj16.length, obj16.level_count, obj16.cost_hint
+
+        def evaluate(self, config, checkpoint=None):
+            signal_clear(job)
+            initialize(job, (0,) * 8, obj8, force=True)
+            signal_set(job)
+            return obj16.evaluate(config, checkpoint)
+
+    record = evaluate_and_merge(job, base, (12, 1), Reinit(), mode, proposer="w")
+    assert record.measured > base.performance
+    assert record.outcome is Outcome.REJECTED_STALE
+    best = read_best(job)
+    assert (best.version, best.config) == (0, (0,) * 8)
+    assert read_commit_log(job) == []
+
+
 @pytest.mark.parametrize("key", ["stop_max_evals", "stop_target", "stop_stagnation"])
 def test_malformed_stop_value_is_a_format_error(key):
     with pytest.raises(FormatError, match=key):
@@ -493,7 +530,8 @@ class TestWorkLoop:
             def evaluate(self, config, checkpoint=None):
                 self.calls += 1
                 if self.calls == 6:
-                    commit_update(job, replace(optimum, version=1, updated_by="other"))
+                    commit_update(job, replace(optimum, version=1, updated_by="other"),
+                                  change=ChangeProposal(0, optimum.config[0], 0.0, "other"))
                 return OBJ8.evaluate(config, checkpoint)
 
         seen = []

@@ -1,5 +1,6 @@
 """Scheduler contract: idle gating, daily window, kills, single instance."""
 
+import hashlib
 import math
 import os
 import random
@@ -13,15 +14,19 @@ from hypothesis import strategies as st
 
 from idleclimb.clock import VirtualClock
 from idleclimb.coordination import (
+    BEST_FILE,
+    CHANGES_FILE,
+    MANIFEST_FILE,
     FormatError,
     JobDirectory,
     MemBackend,
     FsBackend,
     read_best,
+    signal_clear,
     signal_set,
     write_manifest,
 )
-from idleclimb.objective import PhaseMaskObjective
+from idleclimb.objective import PhaseMaskObjective, initial_config
 from idleclimb.optimizer import OptimizerMode, Outcome, StopCondition, initialize
 from idleclimb.simharness import ClockedObjective
 from idleclimb.worker import (
@@ -157,8 +162,7 @@ def run_trace_daemon(activity_times=(), idle_since=NINE_AM, start=NINE_AM,
         probe,
         clock,
         cancel=lambda: clock.now() >= horizon,
-        objective_for=lambda j: begins,
-        stop_for=lambda j: stop,
+        job_for=lambda j: (begins, stop),
         rng=random.Random(11),
         observer=lambda rec: committed.append(rec) if rec.outcome is Outcome.COMMITTED else None,
     )
@@ -267,6 +271,142 @@ def test_a_manifest_that_disagrees_with_best_dat_fails_the_loop(caplog):
     assert "config has 8 elements, expected 16" in caplog.text
 
 
+def test_a_reinit_during_an_evaluation_fails_the_loop_not_the_daemon(caplog):
+    """The operator stops a 16-element job, re-initializes it with 8
+    elements and starts it again while a proposal made at version 1
+    evaluates.  That proposal is stale; the loop's next one fails on the
+    new record, and the next tick's loop runs the new job to its stop."""
+    clock = VirtualClock(TWO_PM)
+    obj16 = PhaseMaskObjective(length=16, level_count=4, target_order=3)
+    obj8 = PhaseMaskObjective(length=8, level_count=4, target_order=3)
+    job = JobDirectory(backend=MemBackend(), clock=clock, job_id="job")
+    initialize(job, (0,) * 16, obj16)
+    signal_set(job)
+    records = []
+
+    class Reinit:
+        """obj16, except that the first change to elements 8-15 evaluated
+        against a committed version re-initializes the job and measures
+        better than any record."""
+
+        length, level_count, cost_hint = obj16.length, obj16.level_count, obj16.cost_hint
+
+        def evaluate(self, config, checkpoint=None):
+            value = obj16.evaluate(config, checkpoint)
+            best = read_best(job)
+            if best.version >= 1 and len(best.config) == 16 and config[8:] != best.config[8:]:
+                signal_clear(job)
+                initialize(job, (0,) * 8, obj8, force=True)
+                signal_set(job)
+                return 2.0
+            return value
+
+    jobs = iter([(Reinit(), StopCondition()), (obj8, StopCondition(max_total_evaluations=50))])
+    with caplog.at_level("WARNING"):
+        report = run_daemon(config_for(job), TraceProbe(idle_since=NOON), clock,
+                            cancel=lambda: clock.now() >= TWO_PM + 1800.0,
+                            job_for=lambda j: next(jobs), rng=random.Random(3),
+                            observer=records.append)
+    assert (report.failed_loops, report.completed_loops, report.kills) == (1, 1, 0)
+    assert report.loop_reports[0].exit_reason == "stop_condition"
+    assert report.loop_reports[0].evaluations == 50
+    assert "config has 8 elements, expected 16" in caplog.text
+    stale = [r for r in records if r.measured == 2.0]
+    assert len(stale) == 1 and stale[0].outcome is Outcome.REJECTED_STALE
+    assert len(read_best(job).config) == 8
+
+
+# The daemon, bit for bit: sha256 over each decision's time, start and skip
+# reason; each loop report's counts, aborted and exit reason; the report's
+# counters; the proposal records; best.dat and changes.log.
+DAEMON_PINS = {
+    "kill_trace": "6a45ae80678cd12ae885824a6f8547d422431341739bf2d1581c846eaf5499ef",
+    "path_job": "f2e8489abd15ab1ffdcf326893fb6a8bbbb9a53e26ac92962a2ab43e640ab328",
+    "bad_manifest": "e93c3ebf5237c154acddecda0f71613b7e320986faf9820e293fd4965032f210",
+}
+
+
+def daemon_digest(report, records, backend):
+    decisions = [(t, d.start, d.reason and d.reason.value) for t, d in report.decisions]
+    loops = [(tuple(loop.counts), loop.aborted, loop.exit_reason)
+             for loop in report.loop_reports]
+    counters = (report.ticks, report.starts, report.kills, report.completed_loops,
+                report.failed_loops)
+    digest = hashlib.sha256()
+    for part in (repr(decisions), repr(loops), repr(counters), repr(records),
+                 backend.read_text(BEST_FILE), backend.read_tail(CHANGES_FILE, 0)[0]):
+        digest.update(part.encode("utf-8"))
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def path_job(tmp_path, clock, budget):
+    """A 16-element job in a real directory, with its stop in the manifest."""
+    job = JobDirectory.create(str(tmp_path / "job"), "pin", clock=clock)
+    obj = PhaseMaskObjective(length=16, level_count=4, target_order=3)
+    initialize(job, initial_config(obj, "random", 3), obj)
+    stop = StopCondition(max_total_evaluations=budget)
+    write_manifest(job, {**obj.manifest_params(), **stop.manifest_params()})
+    signal_set(job)
+    return job
+
+
+class TestDaemonPins:
+    def test_a_kill_trace_through_the_hook(self):
+        """Two kills by user activity, then a loop that ends by its stop."""
+        clock = VirtualClock(NINE_AM)
+        job = make_job(clock)
+        probe = TraceProbe(idle_since=NINE_AM, activity_times=(TEN_AM + 95.0, TWO_PM))
+        timed = ClockedObjective(OBJ, clock, duration=30.0, checkpoint_fraction=1.0 / 30.0)
+        records = []
+        report = run_daemon(config_for(job), probe, clock,
+                            cancel=lambda: clock.now() >= NINE_AM + 12 * 3600.0,
+                            job_for=lambda j: (timed, StopCondition(max_total_evaluations=400)),
+                            rng=random.Random(11), observer=records.append)
+        assert report.kills == 2 and report.completed_loops == 1
+        assert report.loop_reports[-1].exit_reason == "stop_condition"
+        assert daemon_digest(report, records, job.backend) == DAEMON_PINS["kill_trace"]
+
+    def test_a_path_job_through_the_manifest(self, tmp_path):
+        clock = VirtualClock(TWO_PM)
+        job = path_job(tmp_path, clock, 300)
+        records = []
+        report = run_daemon(config_for(job, jobs=(job.path,)), TraceProbe(idle_since=NOON),
+                            clock, cancel=lambda: clock.now() >= TWO_PM + 1800.0,
+                            rng=random.Random(7), observer=records.append)
+        assert report.completed_loops == 1 and report.loop_reports[0].evaluations == 300
+        assert daemon_digest(report, records, job.backend) == DAEMON_PINS["path_job"]
+
+    def test_a_bad_manifest(self):
+        clock = VirtualClock(TWO_PM)
+        job = make_job(clock)
+        write_manifest(job, {"objective": "nope"})
+        records = []
+        report = run_daemon(config_for(job), TraceProbe(idle_since=NOON), clock,
+                            cancel=lambda: clock.now() >= TWO_PM + 12 * 3600.0,
+                            rng=random.Random(7), observer=records.append)
+        assert (report.ticks, report.failed_loops) == (72, 72) and records == []
+        assert daemon_digest(report, records, job.backend) == DAEMON_PINS["bad_manifest"]
+
+
+def test_a_loop_start_on_a_path_job_reads_the_manifest_twice(tmp_path, monkeypatch):
+    """Once when the tick opens the job, once for its objective and stop."""
+    clock = VirtualClock(TWO_PM)
+    job = path_job(tmp_path, clock, 20)
+    reads = []
+    read_text = FsBackend.read_text
+
+    def counting_read_text(self, name):
+        reads.append(name)
+        return read_text(self, name)
+
+    monkeypatch.setattr(FsBackend, "read_text", counting_read_text)
+    report = run_daemon(config_for(job, jobs=(job.path,)), TraceProbe(idle_since=NOON),
+                        clock, cancel=lambda: clock.now() > TWO_PM)
+    assert (report.ticks, report.starts, report.completed_loops) == (1, 1, 1)
+    assert reads.count(MANIFEST_FILE) == 2
+
+
 class CountingProbe:
     """A scripted probe that counts its calls."""
 
@@ -289,8 +429,7 @@ class TestIdleProbeCalls:
         n = 40
         report = run_daemon(config_for(job), probe, clock,
                             cancel=lambda: clock.now() >= TWO_PM + 1800.0,
-                            objective_for=lambda j: OBJ,
-                            stop_for=lambda j: StopCondition(max_total_evaluations=n),
+                            job_for=lambda j: (OBJ, StopCondition(max_total_evaluations=n)),
                             rng=random.Random(5))
         assert report.completed_loops == 1
         assert report.loop_reports[0].evaluations == n
