@@ -34,10 +34,11 @@ through files in it:
     that loop reports, simulator stats, exit lines and ``master report``
     share.  Any other line is ignored, and a half-written last line is
     never read (see :class:`Backend`).  Advisory: nothing reads it to
-    decide correctness.  A forced :func:`publish_initial` appends one
-    ``#init`` line, and every reader counts only the lines after the last
-    one, so the file only grows (as :class:`TallyReader` relies on) and the
-    old job's lines stay above that line as history.
+    decide correctness.  A :func:`publish_initial` over an existing
+    changes.log, forced or not, appends one ``#init`` line, and every
+    reader counts only the lines after the last one, so the file only grows
+    (as :class:`TallyReader` relies on) and an old job's lines stay above
+    that line as history.
 
 Ordinary file shares offer no compare-and-swap, so updates go through the
 lock plus a write-to-temp-then-atomic-rename discipline, and every record
@@ -603,17 +604,18 @@ def read_best(job: JobDirectory) -> BestState:
 
 def publish_initial(job: JobDirectory, state: BestState, force: bool = False) -> None:
     """Write the version-0 record.  Fails if one exists, unless forced; a
-    forced one replaces it, then appends an ``#init`` line to changes.log,
-    after which no reader counts the old job's commits and tallies."""
+    forced one replaces it.  Then append an ``#init`` line to changes.log
+    if it exists, after which no reader counts the earlier job's lines,
+    whether that job was replaced or lost its best.dat."""
     data = serialize_best(state)
     if force:
         job.backend.write_atomic(BEST_FILE, data)
-        job.backend.append_line(CHANGES_FILE, INIT_LINE)
-        return
-    if not job.backend.create_exclusive(BEST_FILE, data):
+    elif not job.backend.create_exclusive(BEST_FILE, data):
         raise AlreadyInitializedError(
             f"{job.path}: already initialized (best.dat exists; force to overwrite)"
         )
+    if job.backend.exists(CHANGES_FILE):
+        job.backend.append_line(CHANGES_FILE, INIT_LINE)
 
 
 # ---------------------------------------------------------------------------

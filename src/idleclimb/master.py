@@ -14,6 +14,7 @@ unreachable share, an unreadable protocol file).  Failures print one
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Sequence
@@ -21,6 +22,7 @@ from typing import Sequence
 from . import coordination as coord
 from . import objective as objmod
 from . import optimizer
+from .cli import parse_command
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -117,11 +119,8 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="idleclimb master", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_init = sub.add_parser("init", help="write the manifest and version-0 record")
+def _init_parser(make) -> argparse.ArgumentParser:
+    p_init = make(help="write the manifest and version-0 record")
     p_init.add_argument("dir")
     p_init.add_argument("--n", default="8", help="mask length")
     p_init.add_argument("--levels", default="2", help="number of phase levels")
@@ -135,19 +134,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_init.add_argument("--job-id", default=None, dest="job_id")
     p_init.add_argument("--force", action="store_true")
     p_init.set_defaults(func=cmd_init)
+    return p_init
 
+
+def _dir_parser(func, make) -> argparse.ArgumentParser:
+    p = make()
+    p.add_argument("dir")
+    p.set_defaults(func=func)
+    return p
+
+
+_COMMANDS = {"init": _init_parser} | {
+    name: functools.partial(_dir_parser, func)
     for name, func in (("start", cmd_start), ("stop", cmd_stop),
-                       ("status", cmd_status), ("report", cmd_report)):
-        p = sub.add_parser(name)
-        p.add_argument("dir")
-        p.set_defaults(func=func)
-    return parser
+                       ("status", cmd_status), ("report", cmd_report))
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command.  Commands raise protocol errors; this is the one
     place that maps them to an ``error=`` line and an exit code."""
-    args = build_parser().parse_args(argv)
+    args = parse_command("idleclimb master", __doc__, _COMMANDS, argv)
     try:
         return args.func(args)
     except coord.CoordinationError as exc:

@@ -9,6 +9,11 @@ power it diffracts into a chosen far-field order:
     eta_k = | sum_m a_m * exp(-2*pi*i * k * m / n) |^2 / n^2
 
 ``sum_k eta_k == 1`` over all n orders, so eta_k is a proper efficiency.
+
+The sum runs over numpy tables, and numpy is imported with the first
+tables a process builds, not with this module: a command that evaluates
+nothing (``master start``, ``stop`` and ``status``, ``worker tick`` and
+``probe``) never loads it.
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Protocol
 
 from .coordination import FormatError, build_record
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Config = tuple[int, ...]
 
@@ -107,7 +113,7 @@ def efficiency(config: Config, level_count: int, order: int) -> float:
     not checked here (:meth:`PhaseMaskObjective.evaluate` validates first)."""
     n = len(config)
     levels, phasor = _tables(n, level_count, order)
-    coeff = np.dot(levels.take(config), phasor)
+    coeff = levels.take(config).dot(phasor)
     return float(abs(coeff) ** 2) / n**2
 
 
@@ -116,6 +122,8 @@ def _tables(n: int, level_count: int, order: int) -> tuple[np.ndarray, np.ndarra
     """The L level phasors exp(2*pi*i*c/L) and the order's DFT row, computed
     once per (n, L, order) with the same numpy expressions a direct
     evaluation would use, so a sum over them is bit-identical to one."""
+    import numpy as np  # at the first evaluation; see the module docstring
+
     levels = np.exp(2j * np.pi * np.arange(level_count, dtype=np.float64) / level_count)
     phasor = np.exp(-2j * np.pi * order * np.arange(n) / n)
     levels.flags.writeable = phasor.flags.writeable = False

@@ -72,6 +72,7 @@ combined evaluation rate times the makespan.
 
 from __future__ import annotations
 
+import argparse
 import heapq
 import math
 import os
@@ -81,6 +82,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
+from .cli import parse_command
 from .clock import SECONDS_PER_DAY
 from .coordination import (
     Backend,
@@ -945,19 +947,17 @@ def write_sweep_csv(path: str, rows: list[tuple[int, SpeedupReport]]) -> None:
             )
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="idleclimb sim", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one scenario file")
+def _run_parser(make) -> argparse.ArgumentParser:
+    p_run = make(help="run one scenario file")
     p_run.add_argument("--scenario", required=True)
+    return p_run
 
+
+def _sweep_parser(make) -> argparse.ArgumentParser:
     # The sweep's options are scenario keys, read as a scenario's are; one
     # left out is left out of the namespace too, and takes the default.
-    p_sweep = sub.add_parser("sweep", help="efficiency sweep over fleet sizes 1..max-p",
-                             argument_default=argparse.SUPPRESS)
+    p_sweep = make(help="efficiency sweep over fleet sizes 1..max-p",
+                   argument_default=argparse.SUPPRESS)
     p_sweep.add_argument("--max-p", type=int, required=True)
     p_sweep.add_argument("--t-eval")
     p_sweep.add_argument("--t-io")
@@ -969,8 +969,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_sweep.add_argument("--target-order")
     p_sweep.add_argument("--mode")
     p_sweep.add_argument("--csv", default=None)
+    return p_sweep
 
-    args = parser.parse_args(argv)
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = parse_command("idleclimb sim", __doc__, {"run": _run_parser, "sweep": _sweep_parser},
+                         argv)
 
     if args.command == "run":
         try:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Protocol, Sequence
 
+from .cli import parse_command
 from .clock import Clock, SECONDS_PER_DAY, WallClock
 from .coordination import (
     CoordinationError,
@@ -210,20 +211,27 @@ def scheduler_tick(
     return TickDecision(reason=SkipReason.SHARE_ERROR if any_error else SkipReason.NO_SIGNAL)
 
 
+# The tick decisions and loop reports a DaemonReport keeps: the latest day's
+# at the stock poll interval.  A daemon runs for months, and a Start decision
+# holds the job handle its tick opened.
+RECENT_TICKS = 144
+
+
 @dataclass
 class DaemonReport:
-    """Each tick's decision and each returned loop's report.  Every start
-    ends as one kill, completed loop or failed loop (with no loop report)."""
+    """A daemon's ticks, how each start ended, the outcome counts and
+    aborted evaluations summed over every returned loop, and the latest
+    :data:`RECENT_TICKS` tick decisions and loop reports.  Every start ends
+    as one kill, completed loop or failed loop (with no loop report)."""
 
+    ticks: int = 0
     kills: int = 0
     completed_loops: int = 0
     failed_loops: int = 0
+    counts: WorkerTally = WorkerTally()
+    aborted: int = 0
     decisions: list[tuple[float, TickDecision]] = field(default_factory=list)
     loop_reports: list[LoopReport] = field(default_factory=list)
-
-    @property
-    def ticks(self) -> int:
-        return len(self.decisions)
 
     @property
     def starts(self) -> int:
@@ -259,7 +267,9 @@ def run_daemon(
             clock.sleep(next_tick - now)
             continue
         decision = scheduler_tick(config, probe, now, clock=clock)
+        report.ticks += 1
         report.decisions.append((now, decision))
+        del report.decisions[:-RECENT_TICKS]
         if (job := decision.job) is not None:
             loop_start, killed = clock.now(), False
 
@@ -279,7 +289,10 @@ def run_daemon(
                 log.warning("%s: loop on %s failed: %s", config.worker_id, job.path, exc)
                 report.failed_loops += 1
             else:
+                report.counts = WorkerTally.total((report.counts, loop.counts))
+                report.aborted += loop.aborted
                 report.loop_reports.append(loop)
+                del report.loop_reports[:-RECENT_TICKS]
                 if loop.exit_reason == "cancelled" and killed:
                     report.kills += 1
                     log.info("%s: killed by user activity on %s", config.worker_id, job.path)
@@ -343,23 +356,31 @@ def _tick_time_error(now: float, idle: float | None) -> str | None:
     return None
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="idleclimb worker", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run the daemon until interrupted")
+def _run_parser(make) -> argparse.ArgumentParser:
+    p_run = make(help="run the daemon until interrupted")
     p_run.add_argument("--config", required=True)
+    return p_run
 
-    sub.add_parser("probe", help="print the current idle-time estimate")
 
-    p_tick = sub.add_parser("tick", help="print a single dry-run scheduling decision")
+def _tick_parser(make) -> argparse.ArgumentParser:
+    p_tick = make(help="print a single dry-run scheduling decision")
     p_tick.add_argument("--config", required=True)
     p_tick.add_argument("--now", type=float, required=True,
                         help="Unix time; its time of day is read in local time")
     p_tick.add_argument("--idle", type=float, default=None,
                         help="scripted idle seconds (defaults to the system probe)")
+    return p_tick
 
-    args = parser.parse_args(argv)
+
+_COMMANDS = {
+    "run": _run_parser,
+    "probe": lambda make: make(help="print the current idle-time estimate"),
+    "tick": _tick_parser,
+}
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = parse_command("idleclimb worker", __doc__, _COMMANDS, argv)
 
     if args.command == "probe":
         probe = SystemIdleProbe()
@@ -403,12 +424,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     # supervisor knows when stopping it is safe.
     print(f"ready={config.worker_id}", flush=True)
     report = run_daemon(config, SystemIdleProbe(), clock, stop_event.is_set)
-    loops = report.loop_reports
     print(
         f"ticks={report.ticks} starts={report.starts} kills={report.kills} "
         f"completed_loops={report.completed_loops} failed_loops={report.failed_loops} "
-        f"{WorkerTally.total(loop.counts for loop in loops).text()} "
-        f"aborted={sum(loop.aborted for loop in loops)}"
+        f"{report.counts.text()} aborted={report.aborted}"
     )
     return 0
 

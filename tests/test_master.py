@@ -13,6 +13,7 @@ from idleclimb.coordination import (
     append_tally,
     read_best,
     read_commit_log,
+    read_fleet_tally,
 )
 from idleclimb.objective import MAX_LEVELS, PhaseMaskObjective
 from idleclimb.optimizer import OptimizerMode, StopCondition, evaluate_and_merge, work_loop
@@ -90,6 +91,21 @@ class TestInit:
         assert code == 0 and values["evaluations"] == "50"
         assert values["commits"] == run(capsys, "status", jobdir)[1]["commits"] == str(
             len(commits))
+
+    def test_an_init_over_a_lost_best_starts_a_fresh_log(self, tmp_path, capsys):
+        jobdir = str(tmp_path / "job")
+        assert run(capsys, "init", jobdir, "--stop-max-evals", "50")[0] == 0
+        run(capsys, "start", jobdir)
+        job = JobDirectory.open(jobdir)
+        obj = PhaseMaskObjective(length=8, level_count=2, target_order=1)
+        loop = work_loop(job, "w", obj, OptimizerMode.REPLACE_IF_BETTER,
+                         StopCondition(max_total_evaluations=50), rng=random.Random(5))
+        assert loop.evaluations == 50 and read_commit_log(job)
+        (tmp_path / "job" / BEST_FILE).unlink()
+        assert run(capsys, "init", jobdir, "--stop-max-evals", "50")[0] == 0
+        assert run(capsys, "status", jobdir)[1]["commits"] == "0"
+        assert read_fleet_tally(JobDirectory.open(jobdir)) == {}
+        assert run(capsys, "report", jobdir)[1]["evaluations"] == "0"
 
     def test_force_while_the_signal_is_present_exits_3_and_writes_nothing(self, tmp_path,
                                                                          capsys):

@@ -635,7 +635,7 @@ class TestReadAhead:
         )
         assert (report.aborted, report.clear_time) == (2, 0.36)
 
-    @pytest.mark.parametrize("worker_id, quiesce, exists", [("0", 2.5, 7), ("z", 2.0, 6)])
+    @pytest.mark.parametrize("worker_id, quiesce, exists", [("0", 2.5, 8), ("z", 2.0, 7)])
     def test_a_removal_at_a_read_aheads_time_goes_by_name(self, worker_id, quiesce, exists):
         # With t_io = 0 the operator's removal at 2.0 ties with the read at
         # 2.0; a worker named before "<operator>" reads first.
@@ -649,9 +649,9 @@ class TestReadAhead:
                        "read_tail": 1, "remove": 1}
 
     @pytest.mark.parametrize("horizon, makespan, exists", [
-        (2.25, 2.25, 6),  # on a's third read
-        (5.7, 5.375, 14),  # inside a's slice after its eighth read
-        (5.9, 5.875, 14),  # between a's last slice and its last read
+        (2.25, 2.25, 7),  # on a's third read
+        (5.7, 5.375, 15),  # inside a's slice after its eighth read
+        (5.9, 5.875, 15),  # between a's last slice and its last read
     ])
     def test_a_horizon_among_read_aheads_cuts_where_it_did(self, horizon, makespan, exists):
         # a reads at 1.0, 1.625, ..., 5.375 and last at 6.0; b at 1.5, 2.625, ...
@@ -677,7 +677,7 @@ class TestReadAhead:
             WorkerStats("b", 0, 0, kills=0, quiesce_time=0.6514285714285715),
         )
         assert report.aborted == 2
-        assert ops == {"create_exclusive": 2, "exists": 10, "read_tail": 2, "read_text": 3,
+        assert ops == {"create_exclusive": 2, "exists": 11, "read_tail": 2, "read_text": 3,
                        "remove": 1}
 
     def test_a_voided_read_ahead_does_not_count_as_time_reached(self):
@@ -1012,19 +1012,19 @@ class TestExactness:
 # extra or a missing ``exists``: it has no side effect.
 STORE_OP_PINS = {
     "fleet-change_merge-50-1": {
-        "append_line": 319, "create_exclusive": 1291, "exists": 3414, "read_tail": 350,
+        "append_line": 319, "create_exclusive": 1291, "exists": 3415, "read_tail": 350,
         "read_text": 1755, "remove": 65, "write_atomic": 15,
     },
     "fleet-replace_if_better-10-2": {
-        "append_line": 324, "create_exclusive": 53, "exists": 3090, "read_tail": 310,
+        "append_line": 324, "create_exclusive": 53, "exists": 3091, "read_tail": 310,
         "read_text": 443, "remove": 33, "write_atomic": 24,
     },
     "mixed-clear-1e9": {
-        "append_line": 42, "create_exclusive": 16, "exists": 416, "read_tail": 37,
+        "append_line": 42, "create_exclusive": 16, "exists": 417, "read_tail": 37,
         "read_text": 84, "remove": 14, "write_atomic": 12,
     },
     "ties-change_merge-0.1": {
-        "append_line": 220, "create_exclusive": 33, "exists": 2063, "read_tail": 207,
+        "append_line": 220, "create_exclusive": 33, "exists": 2064, "read_tail": 207,
         "read_text": 284, "remove": 24, "write_atomic": 20,
     },
 }

@@ -1,5 +1,6 @@
 """Scheduler contract: idle gating, daily window, kills, single instance."""
 
+import gc
 import hashlib
 import math
 import os
@@ -7,6 +8,7 @@ import random
 import socket
 import subprocess
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from idleclimb.coordination import (
     JobDirectory,
     MemBackend,
     FsBackend,
+    WorkerTally,
     read_best,
     signal_clear,
     signal_set,
@@ -30,6 +33,7 @@ from idleclimb.objective import PhaseMaskObjective, initial_config
 from idleclimb.optimizer import OptimizerMode, Outcome, StopCondition, initialize
 from idleclimb.simharness import ClockedObjective
 from idleclimb.worker import (
+    RECENT_TICKS,
     SkipReason,
     TraceProbe,
     WorkerConfig,
@@ -387,6 +391,42 @@ class TestDaemonPins:
                             rng=random.Random(7), observer=records.append)
         assert (report.ticks, report.failed_loops) == (72, 72) and records == []
         assert daemon_digest(report, records, job.backend) == DAEMON_PINS["bad_manifest"]
+
+
+def test_a_month_of_ticks_keeps_what_a_day_of_ticks_keeps(tmp_path):
+    """30 days at the stock poll interval on a path job whose signal is up
+    at every tick: the user comes back 1 s into every loop.  The memory the
+    daemon holds on day 30 is what it held on day 2; a report holding every
+    decision, each with the job handle its tick opened, grew 5.5 MB."""
+    days = 30
+    clock = VirtualClock(0.0)
+    job = path_job(tmp_path, clock, 10**9)
+    obj = PhaseMaskObjective(length=16, level_count=4, target_order=3)
+    timed = ClockedObjective(obj, clock, duration=2.0, checkpoint_fraction=0.5)
+    probe = TraceProbe(activity_times=tuple(600.0 * i + 1.0 for i in range(days * 144)))
+    held = {}
+
+    def cancel():
+        now = clock.now()
+        for day in (2, days):
+            if now >= day * 86400.0 and day not in held:
+                gc.collect()
+                held[day] = tracemalloc.get_traced_memory()[0]
+        return now >= days * 86400.0
+
+    tracemalloc.start()
+    try:
+        report = run_daemon(config_for(job, jobs=(job.path,), idle_threshold=0.0), probe,
+                            clock, cancel, job_for=lambda j: (timed, StopCondition()),
+                            rng=random.Random(3))
+    finally:
+        tracemalloc.stop()
+    # One tick a day falls in the daily window's 10-minute gap.
+    assert (report.ticks, report.starts, report.kills) == (4320, 4290, 4290)
+    assert report.aborted == 4290 and report.counts == WorkerTally()
+    assert len(report.decisions) == len(report.loop_reports) == RECENT_TICKS
+    assert report.decisions[-1][0] == (4320 - 1) * 600.0
+    assert held[days] - held[2] < 16 * 1024
 
 
 def test_a_loop_start_on_a_path_job_reads_the_manifest_twice(tmp_path, monkeypatch):
