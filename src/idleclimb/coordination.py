@@ -10,7 +10,10 @@ through files in it:
 ``best.dat``
     The global best record: ``version=``, ``performance=``, ``estimated=``,
     ``updated_by=``, ``updated_at=``, ``n=``, ``config=`` (space-separated
-    integers), ``checksum=`` (16 hex digits over all preceding bytes).
+    integers), ``checksum=`` (the first 16 hex digits of the SHA-256 of
+    all preceding bytes).  The digest comes from CPython's built-in
+    ``_sha2`` (``_sha256`` before 3.12), and from ``hashlib``, which loads
+    OpenSSL, only in a build without them.
     Always replaced atomically, never edited in place.
 ``lock``
     Short-lived writer lock: ``owner=``, ``acquired_at=``, ``stale_after=``.
@@ -59,7 +62,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import itertools
 import logging
 import math
@@ -70,6 +72,14 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Collection, Iterable, Mapping, NamedTuple, Protocol, Union
 
 from .clock import Clock, WallClock
+
+try:  # CPython's built-in SHA-256: hashlib would map OpenSSL's libcrypto
+    from _sha2 import sha256 as _sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10, 3.11
+    except ImportError:  # a build without built-in hashes
+        from hashlib import sha256 as _sha256
 
 log = logging.getLogger(__name__)
 
@@ -538,7 +548,7 @@ def signal_exists(job: JobDirectory) -> bool:
 
 
 def _checksum(payload: str) -> str:
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return _sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def serialize_best(state: BestState) -> str:

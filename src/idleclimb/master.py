@@ -47,7 +47,7 @@ def cmd_init(args) -> int:
         print(f"error={exc}", file=sys.stderr)
         return EXIT_USAGE
     job = coord.JobDirectory.create(args.dir, job_id)
-    if args.force and coord.signal_exists(job):
+    if coord.signal_exists(job):
         print("error=job still running (stop it before re-initializing)", file=sys.stderr)
         return EXIT_STATE
     # The manifest follows version 0, so an init that is refused writes nothing.

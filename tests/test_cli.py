@@ -1,8 +1,9 @@
 """The command line: each command builds only its own parser, help and
-usage errors read as they did with the whole parser tree, and a command
-that evaluates nothing never loads numpy."""
+usage errors read as they did with the whole parser tree, a command that
+evaluates nothing never loads numpy, and no process loads hashlib."""
 
 import argparse
+import ast
 import hashlib
 import os
 import subprocess
@@ -10,6 +11,7 @@ import sys
 
 import pytest
 
+from idleclimb import coordination as coord
 from idleclimb import master, simharness, worker
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -46,6 +48,16 @@ TREE_OUTPUT_PINS = {
     "sim sweep -h": "fa6316ddbcadcc702517808a5cfabd4b469086e2ec770e303778c73c4535d383",
     "sim sweep": "226d24768c7256eb7d0a1cac03277c6f1a66041dd51f7d0559da518e390edb8e",
 }
+
+
+def run_fresh(script):
+    """Run ``script`` in a new interpreter, where no test has imported
+    anything yet; return its stdout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def invoke(capsys, main, argv):
@@ -120,7 +132,48 @@ from idleclimb.objective import PhaseMaskObjective
 PhaseMaskObjective(length=8, level_count=2, target_order=1).evaluate((0,) * 8)
 assert "numpy" in sys.modules, "the first evaluation did not load numpy"
 """
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(script)
+
+
+def test_no_command_and_no_work_loop_loads_hashlib(tmp_path):
+    jobdir, conf = str(tmp_path / "job"), tmp_path / "worker.conf"
+    conf.write_text(f"job={jobdir}\nworker_id=w\n")
+    script = f"""
+import contextlib, io, pkgutil, random, sys
+import idleclimb
+from idleclimb import cli, coordination as coord
+from idleclimb.objective import PhaseMaskObjective
+from idleclimb.optimizer import OptimizerMode, StopCondition, work_loop
+def command(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+command("master", "init", {jobdir!r}, "--stop-max-evals", "50")
+command("master", "start", {jobdir!r})
+command("master", "status", {jobdir!r})
+command("worker", "tick", "--config", {str(conf)!r}, "--now", "0", "--idle", "0")
+job = coord.JobDirectory.open({jobdir!r})
+loop = work_loop(job, "w", PhaseMaskObjective(length=8, level_count=2, target_order=1),
+                 OptimizerMode.REPLACE_IF_BETTER, StopCondition(max_total_evaluations=50),
+                 rng=random.Random(5))
+assert loop.evaluations == 50 and coord.read_commit_log(job), "no commit"
+command("master", "stop", {jobdir!r})
+command("master", "report", {jobdir!r})
+for module in pkgutil.iter_modules(idleclimb.__path__, "idleclimb."):
+    __import__(module.name)
+print(sorted({{"hashlib", "_hashlib"}} & set(sys.modules)))
+"""
+    assert run_fresh(script) == "[]\n"
+
+
+def test_without_the_builtin_sha256_hashlib_writes_the_same_bytes():
+    record = coord.BestState(version=12, config=(3, 1, 2, 0, 1), performance=0.1 + 0.2,
+                             estimated=True, updated_by="Jürgen-東京", updated_at=1.25)
+    script = f"""
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from idleclimb.coordination import BestState, serialize_best
+text = serialize_best({record!r})
+assert "hashlib" in sys.modules, "the fallback did not run"
+print(ascii(text))
+"""
+    assert ast.literal_eval(run_fresh(script)) == coord.serialize_best(record)

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import hashlib
 import multiprocessing
 import os
 import random
@@ -14,7 +15,7 @@ import types
 from dataclasses import replace
 
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CrashInjected, CrashInjectionBackend
@@ -152,6 +153,14 @@ class TestBestRecord:
             "version=12\nperformance=0.30000000000000004\nestimated=1\n"
             "updated_by=pc-7:991\nupdated_at=1760000000.25\nn=5\nconfig=3 1 2 0 1\n"
             "checksum=2ddcf1925783b03c\n")
+
+    @given(st.text())
+    @example("")
+    @example("version=12\nperformance=1\n")
+    @example(serialize_best(state(updated_by="Jürgen-東京")).partition("checksum=")[0])
+    def test_the_checksum_is_sha256s_first_16_hex_digits(self, payload):
+        assert coordination._checksum(payload) == hashlib.sha256(
+            payload.encode()).hexdigest()[:16]
 
     @given(record=st.builds(
         BestState,

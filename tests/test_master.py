@@ -119,6 +119,19 @@ class TestInit:
         assert err.startswith("error=") and len(err.splitlines()) == 1
         assert {path.name: path.read_bytes() for path in jobdir.iterdir()} == before
 
+    def test_an_init_over_a_lost_best_while_the_signal_is_present_exits_3(self, tmp_path,
+                                                                          capsys):
+        jobdir = tmp_path / "job"
+        run(capsys, "init", str(jobdir), "--n", "8")
+        run(capsys, "start", str(jobdir))
+        forced = run(capsys, "init", str(jobdir), "--force", "--n", "16")
+        (jobdir / BEST_FILE).unlink()
+        before = {path.name: path.read_bytes() for path in jobdir.iterdir()}
+        code, values, err = run(capsys, "init", str(jobdir), "--n", "16", "--levels", "4",
+                                "--target-order", "1")
+        assert (code, values, err) == forced and code == 3
+        assert {path.name: path.read_bytes() for path in jobdir.iterdir()} == before
+
     def test_random_init_deterministic_across_dirs(self, tmp_path, capsys):
         a = run(capsys, "init", str(tmp_path / "a"), "--init-config", "random",
                 "--seed", "7")[1]
