@@ -45,7 +45,7 @@ speeds = [0.4] * 4 + [0.5] * 4 + [1.0, 0.85]
 fleet = tuple(SimWorker(id=f"desk{i:02d}", speed_factor=s)
               for i, s in enumerate(speeds))
 report = run_sim(fleet, setup, sim)
-print(f"\nmixed fleet: ideal speedup {ideal_speedup(fleet, 'desk08'):.2f} "
+print(f"\nmixed fleet: ideal speedup {ideal_speedup(fleet):.2f} "
       f"(reference: the fastest machine)")
 print(f"  measured speedup {report.speedup:.3f}, efficiency {report.efficiency:.4f}")
 print(f"  waste: {report.wasted_duplicate} duplicate analyses, "

@@ -90,7 +90,6 @@ from .coordination import (
     JobDirectory,
     MemBackend,
     SIGNAL_FILE,
-    WorkerTally,
     convert_fields,
     parse_fields,
     read_best,
@@ -576,6 +575,10 @@ class JobSetup:
 
 @dataclass(frozen=True)
 class WorkerStats:
+    """One worker's share of a run.  Its evaluations and commits are its
+    completed proposals, counted from the run's records; ``quiesce_time``
+    is when it stopped, or None if the horizon cut it off."""
+
     id: str
     evaluations: int
     commits: int
@@ -621,13 +624,10 @@ class SpeedupReport:
         return out
 
 
-def ideal_speedup(fleet: Sequence[SimWorker], reference: str) -> float:
-    """Sum of relative speeds over the reference machine's speed."""
-    by_id = {w.id: w for w in fleet}
-    if reference not in by_id:
-        raise ValueError(f"reference worker {reference!r} not in fleet")
-    ref_speed = by_id[reference].speed_factor
-    return sum(w.speed_factor for w in fleet) / ref_speed
+def ideal_speedup(fleet: Sequence[SimWorker]) -> float:
+    """Sum of relative speeds over the fastest machine's speed."""
+    speeds = [w.speed_factor for w in fleet]
+    return sum(speeds) / max(speeds)
 
 
 @dataclass
@@ -684,9 +684,7 @@ def run_sim(
     signal_set(store_job)
 
     records: list[ProposalRecord] = []
-    stats: dict[str, dict] = {
-        w.id: {"counts": WorkerTally(), "aborted": 0, "kills": 0, "quiesce": None} for w in fleet
-    }
+    stats: dict[str, dict] = {w.id: {"aborted": 0, "kills": 0, "quiesce": None} for w in fleet}
 
     for w in fleet:
         kill_times = [at for wid, at in kill_schedule if wid == w.id]
@@ -730,7 +728,6 @@ def _worker_body(w, kernel, job, setup, sim, records, events, kill_times, stats)
                     job, w.id, objective, setup.mode, sim.stop,
                     cancelled, rng=rng, observer=records.append,
                 )
-                my["counts"] = WorkerTally.total((my["counts"], report.counts))
                 my["aborted"] += report.aborted
                 if report.exit_reason in ("stop_condition", "stagnation"):
                     events.note_stop(kernel.now)
@@ -764,12 +761,13 @@ def _build_report(fleet, setup, sim, kernel, store_job, records, events, stats) 
     records.sort(key=lambda rec: (rec.time, rec.worker))
     commits = wasted_duplicate = wasted_outdated = rejected_not_better = 0
     seen: set[tuple[int, int, int]] = set()
-    last_record_time = 0.0
+    done = {w.id: [0, 0] for w in fleet}  # each worker's evaluations and commits
     for rec in records:
-        last_record_time = max(last_record_time, rec.time)
+        done[rec.worker][0] += 1
         key = (rec.base_version, rec.index, rec.new_value)
         if rec.outcome is Outcome.COMMITTED:
             commits += 1
+            done[rec.worker][1] += 1
         elif key in seen:
             wasted_duplicate += 1
         elif rec.outcome in (Outcome.REJECTED_CONFLICT, Outcome.REJECTED_STALE):
@@ -782,13 +780,12 @@ def _build_report(fleet, setup, sim, kernel, store_job, records, events, stats) 
     if incomplete:
         makespan = min(sim.horizon, kernel.reached) if kernel.reached > 0 else sim.horizon
     else:
-        makespan = max(events.stop_time, last_record_time)
+        makespan = max(events.stop_time, records[-1].time if records else 0.0)
 
     evaluations_total = len(records)
     aborted = sum(s["aborted"] for s in stats.values())
     ref_speed = max(w.speed_factor for w in fleet)
-    reference = min(w.id for w in fleet if w.speed_factor == ref_speed)
-    ideal = ideal_speedup(fleet, reference)
+    ideal = ideal_speedup(fleet)
     ref_time = evaluations_total * sim.t_eval * setup.objective.cost_hint / ref_speed
     speedup = ref_time / makespan if makespan > 0 else 0.0
     efficiency = speedup / ideal if ideal > 0 else 0.0
@@ -799,10 +796,8 @@ def _build_report(fleet, setup, sim, kernel, store_job, records, events, stats) 
         )
 
     final = read_best(store_job)
-    worker_stats = tuple(
-        WorkerStats(wid, s["counts"].evaluations, s["counts"].commits, s["kills"], s["quiesce"])
-        for wid, s in sorted(stats.items())
-    )
+    worker_stats = tuple(WorkerStats(wid, *done[wid], s["kills"], s["quiesce"])
+                         for wid, s in sorted(stats.items()))
     return SpeedupReport(
         makespan=makespan,
         evaluations_total=evaluations_total,
